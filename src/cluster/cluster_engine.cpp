@@ -7,167 +7,14 @@
 
 #include "cluster/cluster_spec.hpp"
 #include "cluster/router.hpp"
-#include "exp/thread_pool.hpp"
 #include "obs/event_bus.hpp"
-#include "sim/engine_core.hpp"
-#include "sim/job_runtime.hpp"
-#include "sim/lpt_pack.hpp"
-#include "sim/quantum_engine.hpp"
-#include "sim/quantum_eval.hpp"
+#include "sim/partitioned_driver.hpp"
 
 namespace abg::cluster {
 
 namespace {
 
 constexpr const char* kContext = "simulate_job_set_cluster";
-
-/// Sentinel in MachineEngine::original marking a slot whose job migrated
-/// away (the slot is tombstoned kDone; the job lives on elsewhere).
-constexpr std::size_t kMovedAway = static_cast<std::size_t>(-1);
-
-/// Run-wide constants shared by every machine loop (read-only during an
-/// epoch, so machine tasks can touch them without synchronization).
-struct SharedConfig {
-  const sched::ExecutionPolicy* execution = nullptr;
-  dag::Steps length = 0;
-  dag::Steps max_steps = 0;
-  dag::Steps reallocation_cost_per_proc = 0;
-};
-
-/// One cluster machine: its routed jobs' runtime states, its own
-/// allocator, and a re-entrant quantum loop the coordinator advances
-/// epoch by epoch.  The loop body replicates the fault-free synchronous
-/// loop of engine_core.cpp against the machine's own processors, so the
-/// 1-machine trace is byte-identical to the flat engine's.
-struct MachineEngine {
-  sim::ClusterMachine shape;
-  sim::JobBatch batch;
-  /// Original submission index of batch slot k (kMovedAway after the job
-  /// migrated to another machine), for the deterministic merge.
-  std::vector<std::size_t> original;
-  std::unique_ptr<alloc::Allocator> allocator;
-  std::size_t max_active = 0;
-  std::size_t remaining = 0;
-  dag::Steps now = 0;
-  std::int64_t quanta = 0;
-  dag::TaskCount executed_work = 0;
-  dag::TaskCount allotted_cycles = 0;
-
-  // Scratch buffers reused across quanta.
-  std::vector<std::size_t> active_idx;
-  std::vector<int> requests;
-  std::vector<std::size_t> feedback;
-
-  /// Aggregated desire of the machine for the epoch ending at `horizon`:
-  /// live desires of active jobs plus one processor per queued job that
-  /// becomes eligible inside the epoch (the conservative floor).
-  int aggregated_desire(dag::Steps horizon) const {
-    int desire = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch.done(i)) {
-        continue;
-      }
-      if (batch.active(i)) {
-        desire += batch.desire[i];
-      } else if (batch.eligible_step[i] < horizon) {
-        desire += 1;
-      }
-    }
-    return desire;
-  }
-
-  /// Runs the machine's quantum loop until the epoch boundary, the
-  /// machine's completion, or the step bound.
-  void advance(dag::Steps epoch_end, const SharedConfig& shared) {
-    const dag::Steps length = shared.length;
-    const int budget = shape.processors;
-    while (remaining > 0 && now < epoch_end) {
-      active_idx.clear();
-      std::size_t active_count = batch.active_count();
-      while (active_count < max_active) {
-        const std::size_t best = batch.next_admission(now);
-        if (best == batch.size()) {
-          break;
-        }
-        batch.regime[best] = sim::JobRegime::kActive;
-        batch.desire[best] = batch.jobs[best].request->first_request();
-        ++active_count;
-      }
-      requests.assign(batch.size(), 0);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch.active(i)) {
-          active_idx.push_back(i);
-          requests[i] = batch.desire[i];
-        }
-      }
-
-      if (active_idx.empty()) {
-        // Every remaining job of this machine is eligible in the future:
-        // idle to the next eligibility boundary (possibly overshooting
-        // the epoch — boundaries stay aligned since epochs are whole
-        // quanta, and the coordinator skips the machine until the epoch
-        // clock catches up).
-        const dag::Steps gap =
-            batch.next_eligible_step(shared.max_steps) - now;
-        const dag::Steps quanta_to_skip =
-            std::max<dag::Steps>(1, gap / length);
-        now += quanta_to_skip * length;
-        if (now >= shared.max_steps) {
-          throw std::runtime_error(std::string(kContext) +
-                                   ": exceeded step bound");
-        }
-        continue;
-      }
-
-      ++quanta;
-      const int pool = allocator->pool(budget);
-      const std::vector<int> allotments =
-          allocator->allocate(requests, budget);
-      int assigned = 0;
-      for (const int a : allotments) {
-        assigned += a;
-      }
-      const int leftover = std::max(0, pool - assigned);
-
-      feedback.clear();
-      for (const std::size_t i : active_idx) {
-        sim::JobRuntime& st = batch.jobs[i];
-        const int allotment = allotments[i];
-        ++st.local_quantum;
-        const dag::Steps penalty = region_reallocation_penalty(
-            shape, batch.previous_allotment[i], allotment,
-            shared.reallocation_cost_per_proc, length);
-        batch.previous_allotment[i] = allotment;
-        const sched::QuantumStats stats =
-            sim::quantum_eval::run_allotted_quantum(
-                *st.job, *shared.execution, st.local_quantum,
-                batch.desire[i], allotment, length, penalty, leftover, now);
-        st.trace.quanta.push_back(stats);
-        executed_work += stats.work;
-        allotted_cycles += static_cast<dag::TaskCount>(allotment) *
-                           static_cast<dag::TaskCount>(length);
-        if (stats.finished) {
-          st.trace.completion_step = now + stats.steps_used;
-          batch.regime[i] = sim::JobRegime::kDone;
-          --remaining;
-        } else {
-          feedback.push_back(i);
-        }
-      }
-
-      now += length;
-      if (remaining > 0 && now >= shared.max_steps) {
-        throw std::runtime_error(std::string(kContext) +
-                                 ": exceeded step bound; scheduling is not "
-                                 "making progress");
-      }
-      for (const std::size_t i : feedback) {
-        sim::JobRuntime& st = batch.jobs[i];
-        batch.desire[i] = st.request->next_request(st.trace.quanta.back());
-      }
-    }
-  }
-};
 
 /// Queued job the imbalance pass migrates next: the back of the donor's
 /// FCFS queue (highest eligible step, ties by highest slot index), so the
@@ -186,6 +33,76 @@ std::size_t pick_migration_slot(const sim::JobBatch& batch) {
   return best;
 }
 
+/// Imbalance pass after an epoch: migrates the backs of over-quota
+/// machines' queues toward machines with slack, one conservative desire
+/// unit at a time, until neither side qualifies.  Each move charges one
+/// quantum of transfer debt: the job becomes eligible a quantum past the
+/// epoch end, and its previous allotment on the new machine is zero.
+void migrate_queued(std::vector<sim::Partition>& machines,
+                    const sim::Epoch& epoch, dag::Steps quantum_length) {
+  const std::size_t machine_count = machines.size();
+  const dag::Steps horizon = epoch.end + (epoch.end - epoch.start);
+  std::vector<int> pressure(machine_count, 0);
+  std::size_t slots = 0;  // bounds the moves: a job moves at most once
+  for (std::size_t m = 0; m < machine_count; ++m) {
+    pressure[m] = machines[m].loop.aggregated_desire(horizon) -
+                  machines[m].loop.shape.processors;
+    slots += machines[m].loop.batch.size();
+  }
+  for (std::size_t moved = 0; moved < slots; ++moved) {
+    std::size_t donor = machine_count;
+    std::size_t donor_slot = 0;
+    for (std::size_t m = 0; m < machine_count; ++m) {
+      if (pressure[m] <= 0 ||
+          (donor != machine_count && pressure[m] <= pressure[donor])) {
+        continue;
+      }
+      const std::size_t slot = pick_migration_slot(machines[m].loop.batch);
+      if (slot != machines[m].loop.batch.size()) {
+        donor = m;
+        donor_slot = slot;
+      }
+    }
+    std::size_t recv = machine_count;
+    for (std::size_t m = 0; m < machine_count; ++m) {
+      if (pressure[m] < 0 &&
+          (recv == machine_count || pressure[m] < pressure[recv])) {
+        recv = m;
+      }
+    }
+    if (donor == machine_count || recv == machine_count) {
+      break;
+    }
+    sim::Partition& from = machines[donor];
+    sim::Partition& to = machines[recv];
+    const std::size_t orig = from.original[donor_slot];
+    const dag::Steps eligible =
+        std::max(from.loop.batch.eligible_step[donor_slot], epoch.end) +
+        quantum_length;
+    const std::size_t slot =
+        to.loop.batch.append(std::move(from.loop.batch.jobs[donor_slot]));
+    to.loop.batch.eligible_step[slot] = eligible;
+    to.original.push_back(orig);
+    to.loop.remaining += 1;
+    from.loop.batch.regime[donor_slot] = sim::JobRegime::kDone;
+    from.original[donor_slot] = sim::kMovedAway;
+    from.loop.remaining -= 1;
+    pressure[donor] -= 1;
+    pressure[recv] += 1;
+    if (epoch.bus != nullptr) {
+      obs::Event e;
+      e.kind = obs::EventKind::kClusterMigrate;
+      e.step = epoch.end;
+      e.job = static_cast<std::int64_t>(orig);
+      e.cluster_machines = static_cast<int>(machine_count);
+      e.machine = static_cast<std::int64_t>(recv);
+      e.machine_from = static_cast<std::int64_t>(donor);
+      e.debt_steps = quantum_length;
+      epoch.bus->publish(e);
+    }
+  }
+}
+
 }  // namespace
 
 sim::SimResult simulate_job_set_cluster(
@@ -193,32 +110,10 @@ sim::SimResult simulate_job_set_cluster(
     const sched::ExecutionPolicy& execution,
     const sched::RequestPolicy& request_prototype,
     alloc::Allocator& allocator, const sim::SimConfig& config) {
-  if (config.processors < 1) {
-    throw std::invalid_argument(std::string(kContext) +
-                                ": processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(std::string(kContext) +
-                                ": quantum length must be >= 1");
-  }
+  sim::check_partitioned_config(config, kContext, "cluster mode");
   if (config.cluster.migration_period < 0) {
     throw std::invalid_argument(std::string(kContext) +
                                 ": migration period must be >= 0 quanta");
-  }
-  if (config.engine == sim::EngineKind::kAsync) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": cluster mode requires the sync boundary model");
-  }
-  if (config.faults != nullptr && !config.faults->empty()) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": fault plans are not supported with cluster mode");
-  }
-  if (config.quantum_length_policy != nullptr) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": quantum-length policies are not supported with cluster mode");
   }
   if (config.hier.groups != 0) {
     throw std::invalid_argument(
@@ -228,17 +123,15 @@ sim::SimResult simulate_job_set_cluster(
   const ClusterSpec spec = ClusterSpec::resolve(config, kContext);
   const std::unique_ptr<Router> router = make_router(config.cluster.router);
   allocator.reset();
-
   const std::size_t machine_count = spec.machines.size();
-  const std::size_t n = submissions.size();
 
   // Route every submission once, in submission order, on this thread.
+  sim::PartitionedRun run;
   std::vector<MachineLoad> loads(machine_count);
   for (std::size_t m = 0; m < machine_count; ++m) {
     loads[m].processors = spec.machines[m].processors;
   }
-  std::vector<std::size_t> machine_of(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < submissions.size(); ++i) {
     if (submissions[i].job == nullptr) {
       throw std::invalid_argument(std::string(kContext) + ": null job");
     }
@@ -255,284 +148,70 @@ sim::SimResult simulate_job_set_cluster(
                              "' chose machine " + std::to_string(m) +
                              " of " + std::to_string(machine_count));
     }
-    machine_of[i] = m;
+    run.partition_of.push_back(m);
     loads[m].assigned_work += request.work;
     loads[m].assigned_jobs += 1;
     loads[m].assigned_desire +=
         equilibrium_desire(request.work, request.critical_path);
   }
 
-  // Partition submissions onto their machines, remembering original
-  // indices; per-machine intake with *global* totals so the safety bound
-  // matches the flat engine's formula bit for bit.
-  std::vector<std::vector<sim::JobSubmission>> machine_submissions(
-      machine_count);
-  std::vector<MachineEngine> machines(machine_count);
-  std::vector<dag::Steps> release_of(n, 0);
-  std::vector<dag::TaskCount> work_of(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    release_of[i] = submissions[i].release_step;
-    work_of[i] = submissions[i].job->total_work();
-    const std::size_t m = machine_of[i];
-    machine_submissions[m].push_back(std::move(submissions[i]));
-    machines[m].original.push_back(i);
-  }
-  sim::IntakeTotals totals;
-  std::size_t total_remaining = 0;
-  for (std::size_t m = 0; m < machine_count; ++m) {
-    sim::IntakeTotals machine_totals;
-    machines[m].batch =
-        sim::intake_submissions(std::move(machine_submissions[m]),
-                                request_prototype, kContext, machine_totals);
-    machines[m].shape = spec.machines[m];
-    machines[m].remaining = machine_totals.remaining;
-    machines[m].max_active =
-        config.max_active_jobs > 0
-            ? static_cast<std::size_t>(config.max_active_jobs)
-            : static_cast<std::size_t>(spec.machines[m].processors);
-    machines[m].allocator = allocator.clone();
-    machines[m].allocator->reset();
-    totals.total_work += machine_totals.total_work;
-    totals.latest_release =
-        std::max(totals.latest_release, machine_totals.latest_release);
-    totals.remaining += machine_totals.remaining;
-    total_remaining += machine_totals.remaining;
-  }
-
-  SharedConfig shared;
-  shared.execution = &execution;
-  shared.length = config.quantum_length;
-  shared.max_steps = config.max_steps > 0
-                         ? config.max_steps
-                         : totals.latest_release + 8 * totals.total_work +
-                               64 * config.quantum_length;
-  shared.reallocation_cost_per_proc = config.reallocation_cost_per_proc;
-
-  // Observability: coordinator-thread publishing only (the bus is
-  // unsynchronized; machine loops must not touch it).
-  obs::EventBus* bus = config.obs.event_bus != nullptr &&
-                               config.obs.event_bus->active()
-                           ? config.obs.event_bus
-                           : nullptr;
-  if (bus != nullptr) {
-    obs::Event start;
-    start.kind = obs::EventKind::kRunStart;
-    start.processors = spec.total_processors();
-    start.quantum_length = config.quantum_length;
-    start.job_count = static_cast<std::int64_t>(n);
-    bus->publish(start);
-    std::vector<const sim::JobTrace*> traces(n, nullptr);
-    for (const MachineEngine& machine : machines) {
-      for (std::size_t k = 0; k < machine.batch.size(); ++k) {
-        traces[machine.original[k]] = &machine.batch.jobs[k].trace;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::Event e;
-      e.kind = obs::EventKind::kJobSubmit;
-      e.step = traces[i]->release_step;
-      e.job = static_cast<std::int64_t>(i);
-      e.work = traces[i]->work;
-      e.critical_path = traces[i]->critical_path;
-      bus->publish(e);
-    }
-    // One route event per job, in submission order, with the cumulative
-    // routed work of its machine (the per-machine counter tracks).
-    std::vector<dag::TaskCount> routed(machine_count, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      routed[machine_of[i]] += work_of[i];
-      obs::Event e;
-      e.kind = obs::EventKind::kClusterRoute;
-      e.step = release_of[i];
-      e.job = static_cast<std::int64_t>(i);
-      e.cluster_machines = static_cast<int>(machine_count);
-      e.machine = static_cast<std::int64_t>(machine_of[i]);
-      e.work = routed[machine_of[i]];
-      bus->publish(e);
-    }
-  }
-
-  exp::ThreadPool pool(
-      exp::ThreadPool::resolve_threads(config.cluster.threads));
+  run.context = kContext;
+  run.processors = spec.total_processors();
+  run.shapes = spec.machines;
+  run.make_allocator = [&allocator] { return allocator.clone(); };
   // Machine loops are coupled only through migration, so the epoch length
   // is the migration period; with migration off any epoch length yields
   // identical traces and 16 quanta just bounds coordinator overhead.
-  const dag::Steps epoch_quanta = config.cluster.migration_period > 0
-                                      ? config.cluster.migration_period
-                                      : 16;
-  const dag::Steps epoch_length = epoch_quanta * config.quantum_length;
-  dag::Steps epoch_start = 0;
-  std::int64_t migrations = 0;
-  dag::Steps migration_debt_steps = 0;
-  std::vector<std::size_t> weights(machine_count, 0);
-
-  while (total_remaining > 0) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      throw util::CancelledError(
-          std::string(kContext) + ": run cancelled (" +
-              util::to_string(config.cancel->cause()) + ")",
-          config.cancel->cause());
-    }
-    const dag::Steps epoch_end = epoch_start + epoch_length;
-
-    // Longest-first machine→worker packing (active jobs as the size
-    // estimate); order only affects wall-clock, never results.
-    for (std::size_t m = 0; m < machine_count; ++m) {
-      weights[m] = machines[m].remaining;
-    }
-    for (const std::size_t m : sim::lpt_order(weights)) {
-      MachineEngine& machine = machines[m];
-      if (machine.remaining == 0 || machine.now >= epoch_end) {
-        continue;  // finished, or idle-skipped past this epoch
-      }
-      pool.submit(
-          [&machine, epoch_end, &shared] {
-            machine.advance(epoch_end, shared);
-          });
-    }
-    pool.wait();  // barrier: rethrows the first machine exception
-
-    total_remaining = 0;
-    for (const MachineEngine& machine : machines) {
-      total_remaining += machine.remaining;
-    }
-
-    // Imbalance pass (coordinator only): migrate the backs of over-quota
-    // machines' queues toward machines with slack, one conservative
-    // desire unit at a time, until neither side qualifies.
-    if (config.cluster.migration_period > 0 && total_remaining > 0 &&
-        machine_count > 1) {
-      const dag::Steps horizon = epoch_end + epoch_length;
-      std::vector<int> pressure(machine_count, 0);
-      for (std::size_t m = 0; m < machine_count; ++m) {
-        pressure[m] = machines[m].aggregated_desire(horizon) -
-                      machines[m].shape.processors;
-      }
-      for (std::size_t moved = 0; moved < n; ++moved) {
-        std::size_t donor = machine_count;
-        std::size_t donor_slot = 0;
-        for (std::size_t m = 0; m < machine_count; ++m) {
-          if (pressure[m] <= 0 ||
-              (donor != machine_count && pressure[m] <= pressure[donor])) {
-            continue;
-          }
-          const std::size_t slot = pick_migration_slot(machines[m].batch);
-          if (slot != machines[m].batch.size()) {
-            donor = m;
-            donor_slot = slot;
-          }
-        }
-        std::size_t recv = machine_count;
-        for (std::size_t m = 0; m < machine_count; ++m) {
-          if (pressure[m] < 0 &&
-              (recv == machine_count || pressure[m] < pressure[recv])) {
-            recv = m;
-          }
-        }
-        if (donor == machine_count || recv == machine_count) {
-          break;
-        }
-        MachineEngine& from = machines[donor];
-        MachineEngine& to = machines[recv];
-        const std::size_t orig = from.original[donor_slot];
-        const dag::Steps debt = config.quantum_length;
-        const dag::Steps eligible =
-            std::max(from.batch.eligible_step[donor_slot], epoch_end) + debt;
-        const std::size_t slot =
-            to.batch.append(std::move(from.batch.jobs[donor_slot]));
-        to.batch.eligible_step[slot] = eligible;
-        to.original.push_back(orig);
-        to.remaining += 1;
-        from.batch.regime[donor_slot] = sim::JobRegime::kDone;
-        from.original[donor_slot] = kMovedAway;
-        from.remaining -= 1;
-        pressure[donor] -= 1;
-        pressure[recv] += 1;
-        ++migrations;
-        migration_debt_steps += debt;
-        if (bus != nullptr) {
-          obs::Event e;
-          e.kind = obs::EventKind::kClusterMigrate;
-          e.step = epoch_end;
-          e.job = static_cast<std::int64_t>(orig);
-          e.cluster_machines = static_cast<int>(machine_count);
-          e.machine = static_cast<std::int64_t>(recv);
-          e.machine_from = static_cast<std::int64_t>(donor);
-          e.debt_steps = debt;
-          bus->publish(e);
-        }
-      }
-    }
-    epoch_start = epoch_end;
+  run.epoch_quanta = config.cluster.migration_period > 0
+                         ? config.cluster.migration_period
+                         : 16;
+  run.threads = config.cluster.threads;
+  if (config.cluster.migration_period > 0 && machine_count > 1) {
+    run.after_epoch = [&config](std::vector<sim::Partition>& machines,
+                                const sim::Epoch& epoch) {
+      migrate_queued(machines, epoch, config.quantum_length);
+    };
   }
-
-  // Deterministic merge: traces by original submission index (skipping
-  // tombstones of migrated jobs), aggregates exactly as engine_core's
-  // aggregate_result derives them.
-  sim::SimResult result;
-  result.jobs.resize(n);
-  double response_sum = 0.0;
-  for (MachineEngine& machine : machines) {
-    result.quanta += machine.quanta;
-    for (std::size_t k = 0; k < machine.batch.size(); ++k) {
-      if (machine.original[k] == kMovedAway) {
-        continue;
-      }
-      sim::JobTrace& trace = machine.batch.jobs[k].trace;
-      result.makespan = std::max(result.makespan, trace.completion_step);
-      response_sum += static_cast<double>(trace.response_time());
-      result.total_waste += trace.total_waste();
-      result.jobs[machine.original[k]] = std::move(trace);
+  // One route event per job, in submission order, with the cumulative
+  // routed work of its machine (the per-machine counter tracks).
+  run.publish_intake = [&](obs::EventBus& bus,
+                           const std::vector<const sim::JobTrace*>& traces) {
+    std::vector<dag::TaskCount> routed(machine_count, 0);
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      const std::size_t m = run.partition_of[i];
+      routed[m] += traces[i]->work;
+      obs::Event e;
+      e.kind = obs::EventKind::kClusterRoute;
+      e.step = traces[i]->release_step;
+      e.job = static_cast<std::int64_t>(i);
+      e.cluster_machines = static_cast<int>(machine_count);
+      e.machine = static_cast<std::int64_t>(m);
+      e.work = routed[m];
+      bus.publish(e);
     }
-  }
-  result.mean_response_time =
-      n == 0 ? 0.0 : response_sum / static_cast<double>(n);
-
-  if (bus != nullptr) {
-    // Replay the per-quantum stream from the coordinator (the bus is
-    // unsynchronized, so machine loops never publish; after the final
-    // barrier the merged traces carry the same records the flat engine
-    // emits live — grouped by job instead of interleaved by step).
-    for (std::size_t j = 0; j < result.jobs.size(); ++j) {
-      const sim::JobTrace& trace = result.jobs[j];
-      for (const sched::QuantumStats& stats : trace.quanta) {
-        obs::Event e;
-        e.kind = obs::EventKind::kQuantum;
-        e.step = stats.start_step;
-        e.job = static_cast<std::int64_t>(j);
-        e.stats = &stats;
-        bus->publish(e);
-      }
-      obs::Event done;
-      done.kind = obs::EventKind::kJobComplete;
-      done.step = trace.completion_step;
-      done.job = static_cast<std::int64_t>(j);
-      bus->publish(done);
-    }
+  };
+  run.publish_summary = [machine_count](
+                            obs::EventBus& bus,
+                            const std::vector<sim::Partition>& machines) {
     for (std::size_t m = 0; m < machine_count; ++m) {
-      std::int64_t finished_here = 0;
-      for (const std::size_t orig : machines[m].original) {
-        finished_here += orig != kMovedAway ? 1 : 0;
-      }
+      const sim::QuantumLoop& loop = machines[m].loop;
       obs::Event e;
       e.kind = obs::EventKind::kClusterMachineSummary;
-      e.step = machines[m].now;
+      e.step = loop.now;
       e.job = static_cast<std::int64_t>(m);
       e.cluster_machines = static_cast<int>(machine_count);
       e.machine = static_cast<std::int64_t>(m);
-      e.processors = machines[m].shape.processors;
-      e.work = machines[m].executed_work;
-      e.allotted_cycles = machines[m].allotted_cycles;
-      e.active_jobs = finished_here;
-      bus->publish(e);
+      e.processors = loop.shape.processors;
+      e.work = loop.executed_work;
+      e.allotted_cycles = loop.allotted_cycles;
+      for (const std::size_t orig : machines[m].original) {
+        e.active_jobs += orig != sim::kMovedAway ? 1 : 0;  // finished here
+      }
+      bus.publish(e);
     }
-    obs::Event end;
-    end.kind = obs::EventKind::kRunEnd;
-    end.step = result.makespan;
-    end.makespan = result.makespan;
-    bus->publish(end);
-  }
-  return result;
+  };
+  return sim::run_partitioned(std::move(submissions), run, execution,
+                              request_prototype, config);
 }
 
 }  // namespace abg::cluster

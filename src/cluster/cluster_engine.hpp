@@ -1,26 +1,21 @@
-// Multi-machine cluster driver over the unified engine core.
+// Multi-machine cluster driver: N machines as a partitioned run.
 //
-// Simulates a datacenter of N machines, each running its own allocator
-// over its own synchronous quantum loop (the fault-free loop of
-// sim/engine_core.hpp, the same replica the sharded engine runs per
-// group).  Submissions are placed once by a Router policy
-// (cluster/router.hpp), then the coordinator advances all machines in
-// lockstep epochs on an exp::ThreadPool — one machine per task, submitted
-// longest-first (sim/lpt_pack.hpp) — and, between barriers, detects desire
-// imbalance and migrates queued jobs from over-quota machines to machines
-// with slack, charging one quantum of transfer debt (the migrated job's
-// eligibility moves past the epoch by the quantum length, and its next
-// placement is charged the full reallocation penalty because its previous
-// allotment resets to zero).
+// A Router (cluster/router.hpp) places every submission once, in
+// submission order; each machine is then a QuantumLoop over its own clone
+// of the run's allocator, budgeted at its own processor count, whose
+// regions weigh the reallocation penalty.  The partitioned driver
+// (sim/partitioned_driver.hpp) advances the machines in lockstep epochs on
+// a thread pool.  With a migration period, each epoch ends with an
+// imbalance pass that moves queued jobs from over-quota machines to
+// machines with slack, charging one quantum of transfer debt (the job's
+// eligibility moves a quantum past the epoch, and its previous allotment
+// resets to zero so its next placement pays the full reallocation
+// penalty).
 //
-// Determinism contract (pinned by golden fixtures + ctest):
-//   * byte-identical results at any ClusterConfig::threads — machine
-//     loops touch only their own state; routing, migration and event
-//     publishing happen on the coordinator thread between barriers;
-//   * a 1-machine cluster without explicit shapes is byte-identical to
-//     the flat engine under the same allocator (the machine clones the
-//     run's allocator, its budget is the whole machine, and no routing or
-//     migration decision can differ).
+// Determinism contract (pinned by golden fixtures + ctest): results are
+// byte-identical at any ClusterConfig::threads, and a 1-machine cluster
+// without explicit shapes is byte-identical to the flat engine under the
+// same allocator.
 #pragma once
 
 #include <vector>

@@ -1,11 +1,8 @@
 #include "cluster/cluster_spec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
-
-#include "sim/quantum_engine.hpp"
 
 namespace abg::cluster {
 
@@ -65,43 +62,6 @@ ClusterSpec ClusterSpec::resolve(const sim::SimConfig& config,
   }
   spec.machines = config.cluster.shapes;
   return spec;
-}
-
-dag::Steps region_reallocation_penalty(const sim::ClusterMachine& machine,
-                                       int previous_allotment, int allotment,
-                                       dag::Steps cost_per_proc,
-                                       dag::Steps quantum_length) {
-  if (machine.regions.empty()) {
-    return sim::reallocation_penalty(previous_allotment, allotment,
-                                     cost_per_proc, quantum_length);
-  }
-  if (cost_per_proc <= 0 || previous_allotment == allotment) {
-    return 0;
-  }
-  // Allotments fill the machine region by region in declaration order, so
-  // an allotment change touches the processor indices between the old and
-  // new boundary; each index pays its region's multiplier.
-  const int lo = std::min(previous_allotment, allotment);
-  const int hi = std::max(previous_allotment, allotment);
-  double weighted = 0.0;
-  int region_start = 0;
-  for (const sim::ClusterRegion& region : machine.regions) {
-    const int region_end = region_start + region.processors;
-    const int overlap =
-        std::min(hi, region_end) - std::max(lo, region_start);
-    if (overlap > 0) {
-      weighted += static_cast<double>(overlap) * region.cost_multiplier;
-    }
-    region_start = region_end;
-  }
-  // Indices past the declared regions (over-subscribed allotments) pay the
-  // flat rate.
-  if (hi > region_start) {
-    weighted += static_cast<double>(hi - std::max(lo, region_start));
-  }
-  const auto penalty = static_cast<dag::Steps>(
-      std::llround(static_cast<double>(cost_per_proc) * weighted));
-  return std::min(quantum_length, penalty);
 }
 
 }  // namespace abg::cluster

@@ -6,15 +6,14 @@
 // in declaration order and attach a locality cost multiplier to the
 // reallocation/migration debt of the processors they cover: growing or
 // shrinking an allotment across a remote region pays proportionally more
-// of the run's per-processor reallocation cost (the migration-debt
-// machinery of sim/quantum_engine.hpp).  A machine without regions uses
-// the flat penalty unchanged, which is what keeps the single-machine
-// cluster byte-identical to the flat engine.
+// of the run's per-processor reallocation cost
+// (sim::region_reallocation_penalty, which the quantum loop charges).  A
+// machine without regions uses the flat penalty unchanged, which is what
+// keeps the single-machine cluster byte-identical to the flat engine.
 #pragma once
 
 #include <vector>
 
-#include "dag/job.hpp"
 #include "sim/simulator.hpp"
 
 namespace abg::cluster {
@@ -33,17 +32,5 @@ struct ClusterSpec {
   static ClusterSpec resolve(const sim::SimConfig& config,
                              const char* context);
 };
-
-/// Region-weighted reallocation penalty: the steps a job loses at the
-/// start of a quantum when its allotment on `machine` changed.  Processor
-/// indices [min(prev, cur), max(prev, cur)) each cost
-/// `cost_per_proc × multiplier(region covering the index)`; the rounded
-/// sum is capped at the quantum length.  A machine with no regions (or
-/// one region at multiplier 1.0) reproduces sim::reallocation_penalty
-/// exactly.
-dag::Steps region_reallocation_penalty(const sim::ClusterMachine& machine,
-                                       int previous_allotment, int allotment,
-                                       dag::Steps cost_per_proc,
-                                       dag::Steps quantum_length);
 
 }  // namespace abg::cluster

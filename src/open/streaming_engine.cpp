@@ -262,12 +262,7 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
   };
 
   while (result.completed < config.jobs_total) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      throw util::CancelledError(
-          std::string("run_stream: run cancelled (") +
-              util::to_string(config.cancel->cause()) + ")",
-          config.cancel->cause());
-    }
+    util::throw_if_cancelled(config.cancel, "run_stream");
 
     // Materialize every arrival released by this boundary.  Only one
     // undrawn arrival is ever peeked ahead, so memory tracks the backlog,

@@ -4,7 +4,7 @@
 // The closed engines (sim/engine_core.hpp) materialize every submission
 // up front, keep one JobRuntime per submitted job for the whole run, and
 // retain every JobTrace in the result — all O(total jobs).  The streaming
-// driver keeps the same per-boundary discipline as run_global_quanta
+// driver keeps the same per-boundary discipline as sim::QuantumLoop
 // (admit FCFS up to the cap, allocate once over the active requests, run
 // each active job one quantum, feed completed stats to the request
 // policies) but bounds memory by the number of jobs *in the system*:

@@ -1,12 +1,9 @@
 #include "sim/async_simulator.hpp"
 
-#include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "alloc/equipartition.hpp"
 #include "sim/engine_core.hpp"
-#include "sim/job_runtime.hpp"
 
 namespace abg::sim {
 
@@ -24,58 +21,14 @@ SimResult simulate_job_set_async(std::vector<JobSubmission> submissions,
                                  const sched::RequestPolicy& request_prototype,
                                  alloc::Allocator& allocator,
                                  const SimConfig& config) {
-  if (config.processors < 1) {
-    throw std::invalid_argument(
-        "simulate_job_set_async: processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(
-        "simulate_job_set_async: quantum length must be >= 1");
-  }
-  allocator.reset();
-
-  IntakeTotals totals;
-  JobBatch batch = intake_submissions(std::move(submissions),
-                                      request_prototype,
-                                      "simulate_job_set_async", totals);
-
-  dag::Steps initial_length = config.quantum_length;
-  if (config.quantum_length_policy != nullptr) {
-    config.quantum_length_policy->reset();
-    initial_length = config.quantum_length_policy->initial_length();
-    if (initial_length < 1) {
-      throw std::logic_error(
-          "simulate_job_set_async: quantum-length policy returned length < "
-          "1");
-    }
-  }
-  const dag::Steps bound_length =
-      std::max(config.quantum_length, initial_length);
-  dag::Steps max_steps =
-      config.max_steps > 0
-          ? config.max_steps
-          : totals.latest_release + 8 * totals.total_work + 64 * bound_length;
-  const bool faulty = config.faults != nullptr && !config.faults->empty();
-  if (faulty && config.max_steps == 0) {
-    max_steps +=
-        fault_bound_slack(*config.faults, totals.total_work, bound_length);
-  }
-
-  CoreConfig core;
-  core.context = "simulate_job_set_async";
-  core.processors = config.processors;
-  core.quantum_length = config.quantum_length;
-  core.max_steps = max_steps;
-  core.max_active = config.max_active_jobs > 0
-                        ? static_cast<std::size_t>(config.max_active_jobs)
-                        : static_cast<std::size_t>(config.processors);
-  core.reallocation_cost_per_proc = config.reallocation_cost_per_proc;
-  core.faults = config.faults;
-  core.quantum_length_policy = config.quantum_length_policy;
-  core.bus = config.obs.event_bus;
-  core.cancel = config.cancel;
-  core.skip_ahead = config.skip_ahead;
-  return run_per_job_quanta(batch, totals, execution, allocator, core);
+  SetRun set = prepare_set(std::move(submissions), request_prototype,
+                           allocator, config, "simulate_job_set_async");
+  // The per-job driver starts every job at the fixed length and asks the
+  // job's own policy clone for its first length at admission.
+  set.core.quantum_length = config.quantum_length;
+  set.core.skip_ahead = config.skip_ahead;
+  return run_per_job_quanta(set.batch, set.totals, execution, allocator,
+                            set.core);
 }
 
 }  // namespace abg::sim

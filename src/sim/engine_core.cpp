@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -45,28 +46,69 @@ dag::Steps fault_bound_slack(const fault::FaultPlan& plan,
          8 * total_work * crashes + 64 * quantum_length * events;
 }
 
-namespace {
-
-/// Fault machinery for one run.  Only constructed when a non-empty plan is
-/// attached; the fault-free path is byte-identical to a run without the
-/// plan.
+/// Fault machinery for one run, constructed only when a non-empty plan is
+/// attached: the fault-free path never touches it.
 struct FaultSession {
-  bool faulty = false;
-  std::optional<fault::FaultInjector> injector;
-  std::optional<fault::FaultyAllocator> faulty_allocator;
-  alloc::Allocator* machine = nullptr;
+  fault::FaultInjector injector;
+  fault::FaultyAllocator faulty_allocator;
 
-  FaultSession(alloc::Allocator& base, const fault::FaultPlan* plan) {
-    faulty = plan != nullptr && !plan->empty();
-    if (faulty) {
-      injector.emplace(*plan);
-      faulty_allocator.emplace(base, *injector);
-      machine = &*faulty_allocator;
-    } else {
-      machine = &base;
-    }
-  }
+  FaultSession(alloc::Allocator& base, const fault::FaultPlan& plan)
+      : injector(plan), faulty_allocator(base, injector) {}
 };
+
+void publish_intake(obs::EventBus* bus, int processors,
+                    dag::Steps quantum_length,
+                    const std::vector<const JobTrace*>& traces) {
+  if (bus == nullptr) {
+    return;
+  }
+  obs::Event start;
+  start.kind = obs::EventKind::kRunStart;
+  start.processors = processors;
+  start.quantum_length = quantum_length;
+  start.job_count = static_cast<std::int64_t>(traces.size());
+  bus->publish(start);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    obs::Event e;
+    e.kind = obs::EventKind::kJobSubmit;
+    e.step = traces[i]->release_step;
+    e.job = static_cast<std::int64_t>(i);
+    e.work = traces[i]->work;
+    e.critical_path = traces[i]->critical_path;
+    bus->publish(e);
+  }
+}
+
+void publish_quantum(obs::EventBus* bus, std::size_t job,
+                     const sched::QuantumStats& stats) {
+  obs::Event e;
+  e.kind = obs::EventKind::kQuantum;
+  e.step = stats.start_step;
+  e.job = static_cast<std::int64_t>(job);
+  e.stats = &stats;
+  bus->publish(e);
+}
+
+void publish_complete(obs::EventBus* bus, std::size_t job, dag::Steps step) {
+  obs::Event e;
+  e.kind = obs::EventKind::kJobComplete;
+  e.step = step;
+  e.job = static_cast<std::int64_t>(job);
+  bus->publish(e);
+}
+
+void publish_run_end(obs::EventBus* bus, dag::Steps makespan) {
+  if (bus == nullptr) {
+    return;
+  }
+  obs::Event e;
+  e.kind = obs::EventKind::kRunEnd;
+  e.step = makespan;
+  e.makespan = makespan;
+  bus->publish(e);
+}
+
+namespace {
 
 /// Resolves the configured bus to null when it has no sinks, so every hook
 /// site below is one pointer test on the hot path.
@@ -74,27 +116,14 @@ obs::EventBus* active_bus(const CoreConfig& config) {
   return config.bus != nullptr && config.bus->active() ? config.bus : nullptr;
 }
 
-/// Publishes the run-start event and one submit event per ingested job.
-void publish_intake(obs::EventBus* bus, const JobBatch& batch,
-                    const CoreConfig& config) {
-  if (bus == nullptr) {
-    return;
+/// Job i's trace, by slot, for publish_intake.
+std::vector<const JobTrace*> traces_of(const JobBatch& batch) {
+  std::vector<const JobTrace*> traces;
+  traces.reserve(batch.size());
+  for (const JobRuntime& st : batch.jobs) {
+    traces.push_back(&st.trace);
   }
-  obs::Event start;
-  start.kind = obs::EventKind::kRunStart;
-  start.processors = config.processors;
-  start.quantum_length = config.quantum_length;
-  start.job_count = static_cast<std::int64_t>(batch.size());
-  bus->publish(start);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    obs::Event e;
-    e.kind = obs::EventKind::kJobSubmit;
-    e.step = batch.jobs[i].trace.release_step;
-    e.job = static_cast<std::int64_t>(i);
-    e.work = batch.jobs[i].trace.work;
-    e.critical_path = batch.jobs[i].trace.critical_path;
-    bus->publish(e);
-  }
+  return traces;
 }
 
 void publish_admit(obs::EventBus* bus, std::size_t job, dag::Steps now,
@@ -121,25 +150,6 @@ void publish_allocation(obs::EventBus* bus, dag::Steps now, int pool,
   bus->publish(e);
 }
 
-/// Publishes a quantum record exactly as it entered the trace.
-void publish_quantum(obs::EventBus* bus, std::size_t job,
-                     const sched::QuantumStats& stats) {
-  obs::Event e;
-  e.kind = obs::EventKind::kQuantum;
-  e.step = stats.start_step;
-  e.job = static_cast<std::int64_t>(job);
-  e.stats = &stats;
-  bus->publish(e);
-}
-
-void publish_complete(obs::EventBus* bus, std::size_t job, dag::Steps step) {
-  obs::Event e;
-  e.kind = obs::EventKind::kJobComplete;
-  e.step = step;
-  e.job = static_cast<std::int64_t>(job);
-  bus->publish(e);
-}
-
 void publish_crash(obs::EventBus* bus, std::size_t job, dag::Steps now,
                    const fault::CrashRecord& record, dag::Steps restart_step) {
   obs::Event e;
@@ -148,17 +158,6 @@ void publish_crash(obs::EventBus* bus, std::size_t job, dag::Steps now,
   e.job = static_cast<std::int64_t>(job);
   e.lost_work = record.lost_work;
   e.restart_step = restart_step;
-  bus->publish(e);
-}
-
-void publish_run_end(obs::EventBus* bus, dag::Steps makespan) {
-  if (bus == nullptr) {
-    return;
-  }
-  obs::Event e;
-  e.kind = obs::EventKind::kRunEnd;
-  e.step = makespan;
-  e.makespan = makespan;
   bus->publish(e);
 }
 
@@ -219,54 +218,145 @@ const std::vector<double>& remaining_work(const JobBatch& batch,
 /// (identical in both boundary models).
 void aggregate_result(JobBatch& batch, SimResult& result) {
   batch.flush_quanta();
-  double response_sum = 0.0;
   for (JobRuntime& st : batch.jobs) {
-    result.makespan = std::max(result.makespan, st.trace.completion_step);
-    response_sum += static_cast<double>(st.trace.response_time());
-    result.total_waste += st.trace.total_waste();
     result.jobs.push_back(std::move(st.trace));
   }
-  result.mean_response_time =
-      batch.empty() ? 0.0
-                    : response_sum / static_cast<double>(batch.size());
+  summarize_result(result);
 }
 
 }  // namespace
 
-SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
-                            const sched::ExecutionPolicy& execution,
-                            alloc::Allocator& allocator,
-                            const CoreConfig& config) {
-  FaultSession session(allocator, config.faults);
-  const bool faulty = session.faulty;
-  alloc::Allocator& machine = *session.machine;
-  const dag::Steps max_steps = config.max_steps;
-  obs::EventBus* const bus = active_bus(config);
-  publish_intake(bus, batch, config);
-
-  SimResult result;
-  if (faulty) {
-    result.fault_log.enabled = true;
-    result.fault_log.min_capacity = config.processors;
+SetRun prepare_set(std::vector<JobSubmission> submissions,
+                   const sched::RequestPolicy& request_prototype,
+                   alloc::Allocator& allocator, const SimConfig& config,
+                   const char* context) {
+  const std::string prefix = std::string(context) + ": ";
+  if (config.processors < 1) {
+    throw std::invalid_argument(prefix + "processors must be >= 1");
   }
-  fault::FaultLog& log = result.fault_log;
-  dag::Steps now = 0;
-  dag::Steps length = config.quantum_length;
-  std::vector<std::size_t> active_idx;
-  std::vector<int> requests;
-  std::vector<double> sized;
-  // (job, staged slot) pairs whose feedback is deferred past the bound
-  // check below.
-  std::vector<std::pair<std::size_t, std::size_t>> feedback;
-  std::size_t remaining = totals.remaining;
+  if (config.quantum_length < 1) {
+    throw std::invalid_argument(prefix + "quantum length must be >= 1");
+  }
+  allocator.reset();
+  SetRun set;
+  set.batch = intake_submissions(std::move(submissions), request_prototype,
+                                 context, set.totals);
 
-  while (remaining > 0) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      throw util::CancelledError(
-          std::string(config.context) + ": run cancelled (" +
-              util::to_string(config.cancel->cause()) + ")",
-          config.cancel->cause());
+  // With a quantum-length policy the first boundary is the policy's
+  // choice and the derived safety bound is widened to the larger of the
+  // two lengths; without one this resolves to config.quantum_length and
+  // the arithmetic below is the historic formula, bit for bit.
+  dag::Steps initial_length = config.quantum_length;
+  if (config.quantum_length_policy != nullptr) {
+    config.quantum_length_policy->reset();
+    initial_length = config.quantum_length_policy->initial_length();
+    if (initial_length < 1) {
+      throw std::logic_error(prefix +
+                             "quantum-length policy returned length < 1");
     }
+  }
+  const dag::Steps bound_length =
+      std::max(config.quantum_length, initial_length);
+  const IntakeTotals& totals = set.totals;
+  dag::Steps max_steps =
+      config.max_steps > 0
+          ? config.max_steps
+          : totals.latest_release + 8 * totals.total_work + 64 * bound_length;
+  if (config.faults != nullptr && !config.faults->empty() &&
+      config.max_steps == 0) {
+    max_steps +=
+        fault_bound_slack(*config.faults, totals.total_work, bound_length);
+  }
+
+  CoreConfig& core = set.core;
+  core.context = context;
+  core.processors = config.processors;
+  core.quantum_length = initial_length;
+  core.max_steps = max_steps;
+  core.max_active = config.max_active_jobs > 0
+                        ? static_cast<std::size_t>(config.max_active_jobs)
+                        : static_cast<std::size_t>(config.processors);
+  core.reallocation_cost_per_proc = config.reallocation_cost_per_proc;
+  core.faults = config.faults;
+  core.quantum_length_policy = config.quantum_length_policy;
+  core.bus = config.obs.event_bus;
+  core.cancel = config.cancel;
+  return set;
+}
+
+void summarize_result(SimResult& result) {
+  double response_sum = 0.0;
+  for (const JobTrace& trace : result.jobs) {
+    result.makespan = std::max(result.makespan, trace.completion_step);
+    response_sum += static_cast<double>(trace.response_time());
+    result.total_waste += trace.total_waste();
+  }
+  result.mean_response_time =
+      result.jobs.empty()
+          ? 0.0
+          : response_sum / static_cast<double>(result.jobs.size());
+}
+
+QuantumLoop::QuantumLoop(JobBatch batch_in, std::size_t remaining_in,
+                         const sched::ExecutionPolicy& execution,
+                         alloc::Allocator& allocator,
+                         const CoreConfig& config)
+    : batch(std::move(batch_in)),
+      remaining(remaining_in),
+      config_(config),
+      execution_(&execution),
+      allocator_(&allocator),
+      bus_(active_bus(config)),
+      length_(config.quantum_length) {
+  if (config.faults != nullptr && !config.faults->empty()) {
+    faults_ = std::make_unique<FaultSession>(allocator, *config.faults);
+    fault_log_.enabled = true;
+    fault_log_.min_capacity = config.processors;
+  }
+}
+
+QuantumLoop::QuantumLoop(QuantumLoop&&) noexcept = default;
+QuantumLoop::~QuantumLoop() = default;
+
+int QuantumLoop::aggregated_desire(dag::Steps horizon) const {
+  int desire = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch.active(i)) {
+      desire += batch.desire[i];
+    } else if (!batch.done(i) && batch.eligible_step[i] < horizon) {
+      desire += 1;
+    }
+  }
+  return desire;
+}
+
+SimResult QuantumLoop::run() {
+  if (bus_ != nullptr) {
+    publish_intake(bus_, config_.processors, config_.quantum_length,
+                   traces_of(batch));
+  }
+  advance(std::numeric_limits<dag::Steps>::max(), config_.processors);
+  SimResult result;
+  if (faults_) {
+    fault_log_.allotted_cycles = allotted_cycles;
+    result.fault_log = std::move(fault_log_);
+  }
+  result.quanta = quanta;
+  aggregate_result(batch, result);
+  publish_run_end(bus_, result.makespan);
+  return result;
+}
+
+void QuantumLoop::advance(dag::Steps horizon, int budget) {
+  const bool faulty = faults_ != nullptr;
+  alloc::Allocator& machine =
+      faulty ? faults_->faulty_allocator : *allocator_;
+  const dag::Steps max_steps = config_.max_steps;
+  obs::EventBus* const bus = bus_;
+  fault::FaultLog& log = fault_log_;
+
+  while (remaining > 0 && now < horizon) {
+    util::throw_if_cancelled(config_.cancel, config_.context);
     // Consume fault events for the quantum [now, now + length).  Events
     // inside windows skipped by the idle fast-path below are consumed
     // lazily on the next boundary; failures/repairs net out and crashes of
@@ -276,18 +366,17 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
       // Crash recovery below reads and may clear traces mid-run, so a
       // faulty run keeps them materialized every boundary.
       batch.flush_quanta();
-      window = session.injector->advance(now, now + length);
+      window = faults_->injector.advance(now, now + length_);
       log_window_events(window, log, bus);
       log.min_capacity = std::min(
-          log.min_capacity, session.injector->capacity(config.processors));
+          log.min_capacity, faults_->injector.capacity(config_.processors));
     }
 
     // Admit jobs eligible by the current boundary, FCFS by eligible step
     // (ties by submission order), up to the admission cap.
-    active_idx.clear();
-    requests.clear();
+    active_idx_.clear();
     std::size_t active_count = batch.active_count();
-    while (active_count < config.max_active) {
+    while (active_count < config_.max_active) {
       const std::size_t best = batch.next_admission(now);
       if (best == batch.size()) {
         break;
@@ -308,45 +397,48 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
     // inactive (unreleased, queued, finished) jobs request 0.  Stable
     // positions let positional allocators (per-job weights) work across
     // job completions.
-    requests.assign(batch.size(), 0);
+    requests_.assign(batch.size(), 0);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (batch.active(i)) {
-        active_idx.push_back(i);
-        requests[i] = batch.desire[i];
+        active_idx_.push_back(i);
+        requests_[i] = batch.desire[i];
       }
     }
 
-    if (active_idx.empty()) {
+    if (active_idx_.empty()) {
       // All remaining jobs are eligible in the future: idle to the next
-      // eligibility boundary.
+      // eligibility boundary (possibly past the horizon — boundaries stay
+      // aligned, and a tier driver skips the loop until its epoch clock
+      // catches up).
       const dag::Steps gap = batch.next_eligible_step(max_steps) - now;
-      const dag::Steps quanta_to_skip = std::max<dag::Steps>(1, gap / length);
-      now += quanta_to_skip * length;
+      const dag::Steps quanta_to_skip = std::max<dag::Steps>(1, gap / length_);
+      now += quanta_to_skip * length_;
       if (now >= max_steps) {
-        throw std::runtime_error(std::string(config.context) +
+        throw std::runtime_error(std::string(config_.context) +
                                  ": exceeded step bound");
       }
       continue;
     }
 
-    ++result.quanta;
-    const int pool = machine.pool(config.processors);
+    ++quanta;
+    const dag::Steps length = length_;
+    const int pool = machine.pool(budget);
     const std::vector<int> allotments =
         machine.size_aware()
-            ? machine.allocate_sized(requests, remaining_work(batch, sized),
-                                     config.processors)
-            : machine.allocate(requests, config.processors);
+            ? machine.allocate_sized(requests_, remaining_work(batch, sized_),
+                                     budget)
+            : machine.allocate(requests_, budget);
     int assigned = 0;
     for (const int a : allotments) {
       assigned += a;
     }
     // Revoked processors are held by the revoker, not idle: exclude them
     // from the leftover availability reported to jobs.
-    const int revoked = faulty ? session.faulty_allocator->last_revoked() : 0;
+    const int revoked = faulty ? faults_->faulty_allocator.last_revoked() : 0;
     const int leftover = std::max(0, pool - assigned - revoked);
     if (bus != nullptr) {
       publish_allocation(bus, now, pool, allotments,
-                         static_cast<std::int64_t>(active_idx.size()));
+                         static_cast<std::int64_t>(active_idx_.size()));
     }
 
     // Which active jobs crash during this quantum.
@@ -372,14 +464,12 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
     std::size_t qlen_count = 0;
     bool qlen_sole_valid = false;
 
-    feedback.clear();
-    for (const std::size_t i : active_idx) {
+    feedback_.clear();
+    for (const std::size_t i : active_idx_) {
       JobRuntime& st = batch.jobs[i];
       const int allotment = allotments[i];
-      if (faulty) {
-        log.allotted_cycles += static_cast<dag::TaskCount>(allotment) *
-                               static_cast<dag::TaskCount>(length);
-      }
+      allotted_cycles += static_cast<dag::TaskCount>(allotment) *
+                         static_cast<dag::TaskCount>(length);
       const bool crashed =
           faulty && std::find(crash_victims.begin(), crash_victims.end(),
                               i) != crash_victims.end();
@@ -401,7 +491,7 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
         if (bus != nullptr) {
           publish_quantum(bus, i, stats);
         }
-        if (config.quantum_length_policy != nullptr) {
+        if (config_.quantum_length_policy != nullptr) {
           ++qlen_count;
           qlen_sole_valid = false;
           qlen_agg.work += stats.work;
@@ -413,14 +503,14 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
         fault::CrashRecord record;
         record.job = i;
         record.step = now;
-        if (config.faults->work_loss == fault::WorkLoss::kRestartFromScratch) {
+        if (config_.faults->work_loss == fault::WorkLoss::kRestartFromScratch) {
           record.lost_work = st.job->completed_work();
           record.discarded_cycles = st.trace.total_allotted();
           st.restart_from_scratch();
           st.trace.quanta.clear();
           st.local_quantum = 0;
         }
-        if (config.faults->policy_on_restart ==
+        if (config_.faults->policy_on_restart ==
             fault::PolicyOnRestart::kReset) {
           st.request->reset();
           batch.desire[i] = st.request->first_request();
@@ -430,25 +520,26 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
         commit_crash(log, record);
         batch.previous_allotment[i] = 0;
         batch.regime[i] = JobRegime::kQueued;
-        batch.eligible_step[i] = now + length + config.faults->restart_delay;
+        batch.eligible_step[i] = now + length + config_.faults->restart_delay;
         if (bus != nullptr) {
           publish_crash(bus, i, now, record, batch.eligible_step[i]);
         }
         continue;
       }
       ++st.local_quantum;
-      const dag::Steps penalty = reallocation_penalty(
-          batch.previous_allotment[i], allotment,
-          config.reallocation_cost_per_proc, length);
+      const dag::Steps penalty = region_reallocation_penalty(
+          shape, batch.previous_allotment[i], allotment,
+          config_.reallocation_cost_per_proc, length);
       batch.previous_allotment[i] = allotment;
       const sched::QuantumStats stats = quantum_eval::run_allotted_quantum(
-          *st.job, execution, st.local_quantum, batch.desire[i], allotment,
+          *st.job, *execution_, st.local_quantum, batch.desire[i], allotment,
           length, penalty, leftover, now);
       const std::size_t slot = batch.stage_quantum(i, stats);
+      executed_work += stats.work;
       if (bus != nullptr) {
         publish_quantum(bus, i, stats);
       }
-      if (config.quantum_length_policy != nullptr) {
+      if (config_.quantum_length_policy != nullptr) {
         ++qlen_count;
         qlen_sole = stats;
         qlen_sole_valid = true;
@@ -466,60 +557,65 @@ SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
           publish_complete(bus, i, st.trace.completion_step);
         }
       } else {
-        feedback.emplace_back(i, slot);
+        feedback_.emplace_back(i, slot);
       }
     }
 
     now += length;
     if (remaining > 0 && now >= max_steps) {
-      throw std::runtime_error(std::string(config.context) +
+      throw std::runtime_error(std::string(config_.context) +
                                ": exceeded step bound; " +
-                               config.stall_reason);
+                               config_.stall_reason);
     }
     // Quantum-boundary feedback.  next_request is deferred until after the
     // bound check so a stalled run throws before touching the (possibly
     // caller-owned) request policy again — the historic single-job
     // contract.  Each job has its own policy state, so the deferral is
     // otherwise unobservable.
-    for (const auto& [i, slot] : feedback) {
+    for (const auto& [i, slot] : feedback_) {
       JobRuntime& st = batch.jobs[i];
       batch.desire[i] = st.request->next_request(batch.staged(slot));
     }
     batch.maybe_flush();
-    if (config.quantum_length_policy != nullptr && remaining > 0) {
+    if (config_.quantum_length_policy != nullptr && remaining > 0) {
       if (qlen_count == 1 && qlen_sole_valid) {
-        length = config.quantum_length_policy->next_length(qlen_sole);
+        length_ = config_.quantum_length_policy->next_length(qlen_sole);
       } else {
-        qlen_agg.index = result.quanta;
+        qlen_agg.index = quanta;
         qlen_agg.start_step = now - length;
         qlen_agg.length = length;
         qlen_agg.steps_used = length;
         qlen_agg.available = pool;
-        length = config.quantum_length_policy->next_length(qlen_agg);
+        length_ = config_.quantum_length_policy->next_length(qlen_agg);
       }
-      if (length < 1) {
+      if (length_ < 1) {
         throw std::logic_error(
-            std::string(config.context) +
+            std::string(config_.context) +
             ": quantum-length policy returned length < 1");
       }
     }
   }
-
-  aggregate_result(batch, result);
-  publish_run_end(bus, result.makespan);
-  return result;
+  // Traces are whole between advances: a tier driver may move a job to
+  // another loop, and its staging buffer stays one epoch long.
+  batch.flush_quanta();
 }
 
 SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
                              const sched::ExecutionPolicy& execution,
                              alloc::Allocator& allocator,
                              const CoreConfig& config) {
-  FaultSession session(allocator, config.faults);
-  const bool faulty = session.faulty;
-  alloc::Allocator& machine = *session.machine;
+  const bool faulty = config.faults != nullptr && !config.faults->empty();
+  std::optional<FaultSession> session;
+  if (faulty) {
+    session.emplace(allocator, *config.faults);
+  }
+  alloc::Allocator& machine = faulty ? session->faulty_allocator : allocator;
   const dag::Steps max_steps = config.max_steps;
   obs::EventBus* const bus = active_bus(config);
-  publish_intake(bus, batch, config);
+  if (bus != nullptr) {
+    publish_intake(bus, config.processors, config.quantum_length,
+                   traces_of(batch));
+  }
 
   // Each job's boundary schedule is its own, so each job gets its own
   // quantum-length policy state (a clone of the run's prototype).
@@ -596,12 +692,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
   };
 
   while (remaining > 0) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      throw util::CancelledError(
-          std::string(config.context) + ": run cancelled (" +
-              util::to_string(config.cancel->cause()) + ")",
-          config.cancel->cause());
-    }
+    util::throw_if_cancelled(config.cancel, config.context);
     // Consume fault events for the unit step [now, now + 1).  Events in
     // ranges skipped by the idle fast-path are consumed lazily on the
     // next iteration, which is sound: failures/repairs net out and a
@@ -611,10 +702,10 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
       // admission continues a checkpointed trace's quantum numbering, so a
       // faulty run keeps traces materialized every step.
       batch.flush_quanta();
-      const fault::WindowFaults window = session.injector->advance(now, now + 1);
+      const fault::WindowFaults window = session->injector.advance(now, now + 1);
       log_window_events(window, log, bus);
       log.min_capacity = std::min(
-          log.min_capacity, session.injector->capacity(config.processors));
+          log.min_capacity, session->injector.capacity(config.processors));
       if (window.capacity_changed) {
         partition_dirty = true;
       }

@@ -1,19 +1,24 @@
 // Unified event-driven simulation core.
 //
-// One engine, two boundary policies.  Every simulation entry point in this
-// library — run_single_job (Figures 1/4/5), simulate_job_set (synchronous
-// global quanta, Figure 6) and simulate_job_set_async (per-job quantum
-// boundaries) — is a thin wrapper that validates its inputs, resolves its
-// safety bound, and hands a vector of JobRuntime states to one of two loop
-// drivers here:
+// Two loops drive every closed simulation in this library:
 //
-//   * run_global_quanta — all jobs share quantum boundaries.  Per
-//     boundary: consume fault window, admit FCFS up to the cap, allocate
-//     once for everyone, run each active job a whole quantum (charging
-//     reallocation penalties against the quantum), feed completed stats
-//     back to the request policies, and let the optional quantum-length
-//     policy pick the next boundary.  A job set of one with the machine
-//     allocator *is* the single-job engine.
+//   * QuantumLoop — the synchronous two-level feedback loop.  All jobs of
+//     its batch share quantum boundaries.  Per boundary: consume the
+//     fault window, admit FCFS up to the cap, allocate once over the
+//     active jobs' desires against the caller's budget, run each active
+//     job a whole quantum (charging reallocation penalties weighted by the
+//     loop's machine shape), feed the completed stats back to the request
+//     policies, and let the optional quantum-length policy pick the next
+//     boundary.  The loop is re-entrant: advance(horizon, budget) runs it
+//     up to a step horizon at a processor budget and returns, keeping its
+//     clock, queue and scratch state for the next call.
+//       - run_single_job and simulate_job_set are one advance to an
+//         unbounded horizon at budget P (QuantumLoop::run).
+//       - The sharded (hier) and cluster drivers are one loop per group or
+//         machine, advanced epoch by epoch at budgets set by the tier
+//         above (sim/partitioned_driver.hpp).  They run without fault
+//         plans, quantum-length policies, event bus or cancel token; the
+//         tier driver publishes and polls on the coordinator thread.
 //
 //   * run_per_job_quanta — each job's quanta are counted from its own
 //     admission; the machine is re-partitioned over the active jobs'
@@ -30,23 +35,29 @@
 //     repartition that moves a job's processors adds cost·|Δa| pending
 //     migration steps (capped at the quantum length) during which the job
 //     holds its allotment but executes nothing — the unit-step realization
-//     of the synchronous engine's up-front penalty.
+//     of the synchronous loop's up-front penalty.
 //
-// Both drivers share the machinery the three engines used to duplicate:
-// FCFS admission with the max_active cap, fault-plan application
-// (checkpoint/scratch crash recovery, preserve/reset policy state,
-// capacity churn via FaultyAllocator), per-quantum accounting
+// Both share FCFS admission with the max_active cap, fault-plan
+// application (checkpoint/scratch crash recovery, preserve/reset policy
+// state, capacity churn via FaultyAllocator), size-aware allocation
+// (remaining work for allocators such as heSRPT), per-quantum accounting
 // (T1(q), T∞(q), waste, availability) and JobTrace/QuantumStats emission.
+// The open streaming driver (open/streaming_engine.hpp) keeps its own
+// trace-free variant of the synchronous loop over recycled slots.
 //
-// Regression contract: with the features a wrapper historically exposed,
-// the refactored wrappers produce byte-identical traces, metrics and
-// exception messages.  Error strings are assembled from `context` so each
-// entry point keeps its historic prefix.
+// Regression contract: the wrappers produce byte-identical traces,
+// metrics and exception messages across refactors (tests/golden pins
+// them).  Error strings are assembled from `context` so each entry point
+// keeps its historic prefix.
 #pragma once
 
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "fault/fault_log.hpp"
 #include "fault/fault_plan.hpp"
 #include "sched/execution_policy.hpp"
 #include "sched/quantum_length.hpp"
@@ -65,7 +76,8 @@ namespace abg::sim {
 struct CoreConfig {
   /// Message prefix for exceptions ("simulate_job_set", ...).
   const char* context = "engine_core";
-  /// Machine size P.
+  /// Machine size P: QuantumLoop::run's budget and the fault plan's
+  /// capacity reference.
   int processors = 0;
   /// Fixed quantum length — or, when `quantum_length_policy` is set, the
   /// already-resolved initial length (the core never re-queries
@@ -79,7 +91,7 @@ struct CoreConfig {
   dag::Steps reallocation_cost_per_proc = 0;
   /// Optional fault plan; null or empty is a strict no-op.
   const fault::FaultPlan* faults = nullptr;
-  /// Optional quantum-length policy.  Global driver: consulted once per
+  /// Optional quantum-length policy.  QuantumLoop: consulted once per
   /// global boundary (with the sole job's stats when exactly one job ran
   /// the quantum — the single-job feedback loop — or machine-aggregated
   /// stats otherwise).  Per-job driver: cloned per job, consulted at that
@@ -105,13 +117,104 @@ struct CoreConfig {
   bool skip_ahead = true;
 };
 
-/// Drives `batch` to completion with global synchronous quantum
-/// boundaries.  The allocator is used as-is (wrappers decide whether to
-/// reset it).
-SimResult run_global_quanta(JobBatch& batch, const IntakeTotals& totals,
-                            const sched::ExecutionPolicy& execution,
-                            alloc::Allocator& allocator,
-                            const CoreConfig& config);
+struct FaultSession;
+
+/// The synchronous quantum loop over one batch, re-entrant at quantum
+/// boundaries.  Its state — clock, queue, counters, scratch buffers —
+/// persists between advance() calls, so a tier driver can interleave many
+/// loops epoch by epoch and get, per loop, exactly the trace one
+/// uninterrupted run at the same budgets would produce.
+class QuantumLoop {
+ public:
+  /// Takes the batch; `remaining` counts its unfinished jobs.  The
+  /// allocator is borrowed and used as-is (callers decide whether to
+  /// reset it); `config.faults` engages the fault machinery.
+  QuantumLoop(JobBatch batch, std::size_t remaining,
+              const sched::ExecutionPolicy& execution,
+              alloc::Allocator& allocator, const CoreConfig& config);
+  QuantumLoop(QuantumLoop&&) noexcept;
+  ~QuantumLoop();
+
+  /// Runs quanta of `budget` processors while jobs remain and the clock
+  /// is before `horizon`.  A quantum that starts before the horizon runs
+  /// whole, and an idle skip may overshoot it; callers align horizons to
+  /// whole quanta.
+  void advance(dag::Steps horizon, int budget);
+
+  /// The flat run: publishes intake, advances to an unbounded horizon at
+  /// budget config.processors and returns the traces in slot order with
+  /// the aggregates and the fault log.
+  SimResult run();
+
+  /// Desire the loop brings to the epoch ending at `horizon`: the live
+  /// desires of its active jobs plus one processor per queued job that
+  /// becomes eligible before the horizon (its real desire is unknown until
+  /// admission; one is the conservative floor).
+  int aggregated_desire(dag::Steps horizon) const;
+
+  JobBatch batch;
+  /// Regions of the machine the loop runs on; they weigh the reallocation
+  /// penalty (region_reallocation_penalty).  No regions: the flat penalty.
+  ClusterMachine shape;
+  std::size_t remaining = 0;
+  dag::Steps now = 0;
+  /// Quanta run (boundaries with at least one active job).
+  std::int64_t quanta = 0;
+  /// Σ work executed and Σ allotment · length over every quantum run.
+  dag::TaskCount executed_work = 0;
+  dag::TaskCount allotted_cycles = 0;
+
+ private:
+  CoreConfig config_;
+  const sched::ExecutionPolicy* execution_;
+  alloc::Allocator* allocator_;
+  obs::EventBus* bus_;
+  std::unique_ptr<FaultSession> faults_;
+  fault::FaultLog fault_log_;
+  /// Current quantum length (moves only under a quantum-length policy).
+  dag::Steps length_;
+  // Scratch buffers reused across quanta.
+  std::vector<std::size_t> active_idx_;
+  std::vector<int> requests_;
+  std::vector<double> sized_;
+  /// (job, staged slot) pairs whose feedback is deferred past the bound
+  /// check.
+  std::vector<std::pair<std::size_t, std::size_t>> feedback_;
+};
+
+/// A job set ingested and resolved for one of the flat set drivers.
+struct SetRun {
+  JobBatch batch;
+  IntakeTotals totals;
+  CoreConfig core;
+};
+
+/// Front half of simulate_job_set and simulate_job_set_async: rejects a
+/// machine size or quantum length below 1, resets the allocator, ingests
+/// the submissions, and resolves the quantum-length policy's initial
+/// length (as core.quantum_length), the safety bound (widened by the
+/// fault plan's slack) and the admission cap.  Messages start with
+/// `context`.
+SetRun prepare_set(std::vector<JobSubmission> submissions,
+                   const sched::RequestPolicy& request_prototype,
+                   alloc::Allocator& allocator, const SimConfig& config,
+                   const char* context);
+
+// Event helpers every closed driver publishes through.  publish_intake
+// and publish_run_end accept a null bus; the others need a live one.
+/// The run start and one submit per job; `traces[i]` is job i's trace.
+void publish_intake(obs::EventBus* bus, int processors,
+                    dag::Steps quantum_length,
+                    const std::vector<const JobTrace*>& traces);
+/// One quantum record, exactly as it entered the trace.
+void publish_quantum(obs::EventBus* bus, std::size_t job,
+                     const sched::QuantumStats& stats);
+void publish_complete(obs::EventBus* bus, std::size_t job, dag::Steps step);
+void publish_run_end(obs::EventBus* bus, dag::Steps makespan);
+
+/// Derives a result's makespan, mean response time and total waste from
+/// its job traces.
+void summarize_result(SimResult& result);
 
 /// Drives `batch` to completion with per-job quantum boundaries and
 /// repartition-on-every-event.  Time advances in planned strides: between

@@ -7,6 +7,19 @@
 
 namespace abg::sim {
 
+std::size_t JobBatch::next_admission(dag::Steps now) const {
+  std::size_t best = size();
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (regime[i] != JobRegime::kQueued || eligible_step[i] > now) {
+      continue;
+    }
+    if (best == size() || eligible_step[i] < eligible_step[best]) {
+      best = i;
+    }
+  }
+  return best;
+}
+
 JobBatch intake_submissions(std::vector<JobSubmission> submissions,
                             const sched::RequestPolicy& request_prototype,
                             const char* context, IntakeTotals& totals) {

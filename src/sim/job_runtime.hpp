@@ -172,18 +172,7 @@ struct JobBatch {
   /// step (ties by submission order), or size() when none is eligible.
   /// Candidates are scanned in submission order; releases are not
   /// required to be sorted.
-  std::size_t next_admission(dag::Steps now) const {
-    std::size_t best = size();
-    for (std::size_t i = 0; i < size(); ++i) {
-      if (regime[i] != JobRegime::kQueued || eligible_step[i] > now) {
-        continue;
-      }
-      if (best == size() || eligible_step[i] < eligible_step[best]) {
-        best = i;
-      }
-    }
-    return best;
-  }
+  std::size_t next_admission(dag::Steps now) const;
 
   /// Earliest step at which any unfinished job becomes eligible, for the
   /// idle fast-path; `bound` when none exists.

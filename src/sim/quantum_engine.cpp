@@ -1,6 +1,7 @@
 #include "sim/quantum_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -33,6 +34,43 @@ dag::Steps reallocation_penalty(int previous_allotment, int allotment,
       allotment > previous_allotment ? allotment - previous_allotment
                                      : previous_allotment - allotment);
   return std::min(quantum_length, cost_per_proc * delta);
+}
+
+dag::Steps region_reallocation_penalty(const ClusterMachine& machine,
+                                       int previous_allotment, int allotment,
+                                       dag::Steps cost_per_proc,
+                                       dag::Steps quantum_length) {
+  if (machine.regions.empty()) {
+    return reallocation_penalty(previous_allotment, allotment, cost_per_proc,
+                                quantum_length);
+  }
+  if (cost_per_proc <= 0 || previous_allotment == allotment) {
+    return 0;
+  }
+  // Allotments fill the machine region by region in declaration order, so
+  // an allotment change touches the processor indices between the old and
+  // new boundary; each index pays its region's multiplier.
+  const int lo = std::min(previous_allotment, allotment);
+  const int hi = std::max(previous_allotment, allotment);
+  double weighted = 0.0;
+  int region_start = 0;
+  for (const ClusterRegion& region : machine.regions) {
+    const int region_end = region_start + region.processors;
+    const int overlap =
+        std::min(hi, region_end) - std::max(lo, region_start);
+    if (overlap > 0) {
+      weighted += static_cast<double>(overlap) * region.cost_multiplier;
+    }
+    region_start = region_end;
+  }
+  // Indices past the declared regions (over-subscribed allotments) pay the
+  // flat rate.
+  if (hi > region_start) {
+    weighted += static_cast<double>(hi - std::max(lo, region_start));
+  }
+  const auto penalty = static_cast<dag::Steps>(
+      std::llround(static_cast<double>(cost_per_proc) * weighted));
+  return std::min(quantum_length, penalty);
 }
 
 JobTrace run_single_job(dag::Job& job, const sched::ExecutionPolicy& execution,
@@ -93,10 +131,6 @@ JobTrace run_single_job(dag::Job& job, const sched::ExecutionPolicy& execution,
     st.trace.critical_path = job.critical_path();
     batch.append(std::move(st));
   }
-  IntakeTotals totals;
-  totals.total_work = batch.jobs.front().trace.work;
-  totals.latest_release = 0;
-  totals.remaining = 1;
 
   CoreConfig core;
   core.context = "run_single_job";
@@ -109,8 +143,8 @@ JobTrace run_single_job(dag::Job& job, const sched::ExecutionPolicy& execution,
   core.quantum_length_policy = &quantum_length;
   core.stall_reason = "feedback loop is not making progress";
   core.bus = config.obs.event_bus;
-  SimResult result = run_global_quanta(batch, totals, execution, allocator,
-                                       core);
+  SimResult result =
+      QuantumLoop(std::move(batch), 1, execution, allocator, core).run();
   if (config.fault_log_out != nullptr) {
     *config.fault_log_out = std::move(result.fault_log);
   }

@@ -15,6 +15,7 @@
 #include "sched/execution_policy.hpp"
 #include "sched/quantum_length.hpp"
 #include "sched/request_policy.hpp"
+#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace abg::sim {
@@ -56,6 +57,17 @@ struct SingleJobConfig {
 dag::Steps reallocation_penalty(int previous_allotment, int allotment,
                                 dag::Steps cost_per_proc,
                                 dag::Steps quantum_length);
+
+/// Region-weighted reallocation penalty: the steps a job loses at the
+/// start of a quantum when its allotment on `machine` changed.  Processor
+/// indices [min(prev, cur), max(prev, cur)) each cost
+/// `cost_per_proc × multiplier(region covering the index)`; the rounded
+/// sum is capped at the quantum length.  A machine with no regions (or
+/// one region at multiplier 1.0) reproduces reallocation_penalty exactly.
+dag::Steps region_reallocation_penalty(const ClusterMachine& machine,
+                                       int previous_allotment, int allotment,
+                                       dag::Steps cost_per_proc,
+                                       dag::Steps quantum_length);
 
 /// Runs `job` to completion under the given policies and allocator and
 /// returns its trace.  The request policy is reset before the run; the

@@ -17,10 +17,10 @@
 //     find the next completion event without running anything).
 //   * supports_skip_ahead — whether a job exposes a phase view at all.
 //   * run_allotted_quantum — the one per-quantum execution block shared
-//     by the synchronous engine, the sharded group loops and the open
-//     streaming driver (reallocation penalty, execution-policy dispatch,
-//     availability and trace stamping).  Centralizing it keeps the three
-//     call sites byte-identical by construction.
+//     by the synchronous quantum loop (flat, sharded and cluster runs) and
+//     the open streaming driver (reallocation penalty, execution-policy
+//     dispatch, availability and trace stamping).  Centralizing it keeps
+//     the two call sites byte-identical by construction.
 //
 // Engines fall back to stepwise execution whenever closed form does not
 // apply: jobs without a phase view (explicit DAGs), fault windows (crash /

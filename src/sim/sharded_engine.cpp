@@ -1,167 +1,21 @@
 #include "sim/sharded_engine.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "exp/thread_pool.hpp"
 #include "hier/desire_aggregator.hpp"
 #include "hier/hierarchical_allocator.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/profile.hpp"
-#include "sim/engine_core.hpp"
-#include "sim/job_runtime.hpp"
-#include "sim/lpt_pack.hpp"
-#include "sim/quantum_engine.hpp"
-#include "sim/quantum_eval.hpp"
+#include "sim/partitioned_driver.hpp"
 
 namespace abg::sim {
 
 namespace {
 
 constexpr const char* kContext = "simulate_job_set_sharded";
-
-/// Run-wide constants shared by every group loop (read-only during an
-/// epoch, so group tasks can touch them without synchronization).
-struct SharedConfig {
-  const sched::ExecutionPolicy* execution = nullptr;
-  dag::Steps length = 0;
-  dag::Steps max_steps = 0;
-  std::size_t max_active = 0;
-  dag::Steps reallocation_cost_per_proc = 0;
-};
-
-/// One allocation group: its members' runtime states, its own allocator,
-/// and a re-entrant quantum loop the coordinator advances epoch by epoch.
-struct GroupEngine {
-  JobBatch batch;
-  /// Original submission index of batch slot k (for deterministic merge).
-  std::vector<std::size_t> original;
-  std::unique_ptr<alloc::Allocator> allocator;
-  std::size_t remaining = 0;
-  dag::Steps now = 0;
-  std::int64_t quanta = 0;
-  dag::TaskCount executed_work = 0;
-  dag::TaskCount allotted_cycles = 0;
-
-  // Scratch buffers reused across quanta.
-  std::vector<std::size_t> active_idx;
-  std::vector<int> requests;
-  std::vector<std::size_t> feedback;
-
-  /// Aggregated desire of the group for the epoch ending at `horizon`:
-  /// the live desires of its active jobs plus one processor per queued
-  /// job that becomes eligible inside the epoch (its real desire is
-  /// unknown until admission; one is the conservative floor).
-  int aggregated_desire(dag::Steps horizon) const {
-    int desire = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch.done(i)) {
-        continue;
-      }
-      if (batch.active(i)) {
-        desire += batch.desire[i];
-      } else if (batch.eligible_step[i] < horizon) {
-        desire += 1;
-      }
-    }
-    return desire;
-  }
-
-  /// Runs the group's quantum loop until the epoch boundary, the group's
-  /// completion, or the step bound.  The body replicates the fault-free
-  /// synchronous loop of engine_core.cpp against `budget` processors, so
-  /// the 1-group trace is byte-identical to the flat engine's.
-  void advance(dag::Steps epoch_end, int budget, const SharedConfig& shared) {
-    const dag::Steps length = shared.length;
-    while (remaining > 0 && now < epoch_end) {
-      active_idx.clear();
-      std::size_t active_count = batch.active_count();
-      while (active_count < shared.max_active) {
-        const std::size_t best = batch.next_admission(now);
-        if (best == batch.size()) {
-          break;
-        }
-        batch.regime[best] = JobRegime::kActive;
-        batch.desire[best] = batch.jobs[best].request->first_request();
-        ++active_count;
-      }
-      requests.assign(batch.size(), 0);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch.active(i)) {
-          active_idx.push_back(i);
-          requests[i] = batch.desire[i];
-        }
-      }
-
-      if (active_idx.empty()) {
-        // All remaining jobs of this group are eligible in the future:
-        // idle to the next eligibility boundary (possibly overshooting
-        // the epoch — boundaries stay aligned since epochs are whole
-        // quanta, and the coordinator simply skips the group until the
-        // epoch clock catches up).
-        const dag::Steps gap =
-            batch.next_eligible_step(shared.max_steps) - now;
-        const dag::Steps quanta_to_skip =
-            std::max<dag::Steps>(1, gap / length);
-        now += quanta_to_skip * length;
-        if (now >= shared.max_steps) {
-          throw std::runtime_error(std::string(kContext) +
-                                   ": exceeded step bound");
-        }
-        continue;
-      }
-
-      ++quanta;
-      const int pool = allocator->pool(budget);
-      const std::vector<int> allotments =
-          allocator->allocate(requests, budget);
-      int assigned = 0;
-      for (const int a : allotments) {
-        assigned += a;
-      }
-      const int leftover = std::max(0, pool - assigned);
-
-      feedback.clear();
-      for (const std::size_t i : active_idx) {
-        JobRuntime& st = batch.jobs[i];
-        const int allotment = allotments[i];
-        ++st.local_quantum;
-        const dag::Steps penalty = reallocation_penalty(
-            batch.previous_allotment[i], allotment,
-            shared.reallocation_cost_per_proc, length);
-        batch.previous_allotment[i] = allotment;
-        const sched::QuantumStats stats = quantum_eval::run_allotted_quantum(
-            *st.job, *shared.execution, st.local_quantum, batch.desire[i],
-            allotment, length, penalty, leftover, now);
-        st.trace.quanta.push_back(stats);
-        executed_work += stats.work;
-        allotted_cycles += static_cast<dag::TaskCount>(allotment) *
-                           static_cast<dag::TaskCount>(length);
-        if (stats.finished) {
-          st.trace.completion_step = now + stats.steps_used;
-          batch.regime[i] = JobRegime::kDone;
-          --remaining;
-        } else {
-          feedback.push_back(i);
-        }
-      }
-
-      now += length;
-      if (remaining > 0 && now >= shared.max_steps) {
-        throw std::runtime_error(std::string(kContext) +
-                                 ": exceeded step bound; scheduling is not "
-                                 "making progress");
-      }
-      for (const std::size_t i : feedback) {
-        JobRuntime& st = batch.jobs[i];
-        batch.desire[i] = st.request->next_request(st.trace.quanta.back());
-      }
-    }
-  }
-};
 
 }  // namespace
 
@@ -170,14 +24,7 @@ SimResult simulate_job_set_sharded(
     const sched::ExecutionPolicy& execution,
     const sched::RequestPolicy& request_prototype,
     alloc::Allocator& allocator, const SimConfig& config) {
-  if (config.processors < 1) {
-    throw std::invalid_argument(std::string(kContext) +
-                                ": processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(std::string(kContext) +
-                                ": quantum length must be >= 1");
-  }
+  check_partitioned_config(config, kContext, "hierarchical allocation");
   if (config.hier.groups < 1) {
     throw std::invalid_argument(std::string(kContext) +
                                 ": hier groups must be >= 1");
@@ -186,128 +33,34 @@ SimResult simulate_job_set_sharded(
     throw std::invalid_argument(std::string(kContext) +
                                 ": hier rebalance epoch must be >= 1 quanta");
   }
-  if (config.engine == EngineKind::kAsync) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": hierarchical allocation requires the sync boundary model");
-  }
-  if (config.faults != nullptr && !config.faults->empty()) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": fault plans are not supported with hierarchical allocation");
-  }
-  if (config.quantum_length_policy != nullptr) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": quantum-length policies are not supported with hierarchical "
-        "allocation");
-  }
   allocator.reset();
-
   const auto group_count = static_cast<std::size_t>(config.hier.groups);
-  const std::size_t n = submissions.size();
 
-  // Partition submissions into groups, remembering original indices.
-  std::vector<std::vector<JobSubmission>> group_submissions(group_count);
-  std::vector<GroupEngine> groups(group_count);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = hier::group_of(i, group_count);
-    group_submissions[g].push_back(std::move(submissions[i]));
-    groups[g].original.push_back(i);
+  PartitionedRun run;
+  run.context = kContext;
+  run.processors = config.processors;
+  for (std::size_t i = 0; i < submissions.size(); ++i) {
+    run.partition_of.push_back(hier::group_of(i, group_count));
   }
-
-  // Per-group intake; the safety bound uses the *global* totals so the
-  // 1-group bound matches the flat engine's formula bit for bit.
-  IntakeTotals totals;
-  std::size_t total_remaining = 0;
-  for (std::size_t g = 0; g < group_count; ++g) {
-    IntakeTotals group_totals;
-    groups[g].batch = intake_submissions(std::move(group_submissions[g]),
-                                         request_prototype, kContext,
-                                         group_totals);
-    groups[g].remaining = group_totals.remaining;
-    totals.total_work += group_totals.total_work;
-    totals.latest_release =
-        std::max(totals.latest_release, group_totals.latest_release);
-    totals.remaining += group_totals.remaining;
-    total_remaining += group_totals.remaining;
-  }
-
-  SharedConfig shared;
-  shared.execution = &execution;
-  shared.length = config.quantum_length;
-  shared.max_steps = config.max_steps > 0
-                         ? config.max_steps
-                         : totals.latest_release + 8 * totals.total_work +
-                               64 * config.quantum_length;
-  // The admission cap applies per group (each group runs its own FCFS
-  // queue); the flat default — cap P — is preserved at one group.
-  shared.max_active = config.max_active_jobs > 0
-                          ? static_cast<std::size_t>(config.max_active_jobs)
-                          : static_cast<std::size_t>(config.processors);
-  shared.reallocation_cost_per_proc = config.reallocation_cost_per_proc;
-
+  // Every group sees the whole machine's shape; its budget is its share.
+  run.shapes.assign(group_count, ClusterMachine{config.processors, {}});
   // The tree: a root clone for the aggregator plus one allocator clone
   // per group — of the named group allocator, or of the machine allocator
   // (which is what makes 1 group ≡ flat under the same allocator).
-  const auto make_level = [&]() -> std::unique_ptr<alloc::Allocator> {
+  run.make_allocator = [&]() -> std::unique_ptr<alloc::Allocator> {
     if (config.hier.allocator.empty()) {
       return allocator.clone();
     }
     return hier::make_group_allocator(config.hier.allocator);
   };
-  hier::DesireAggregator aggregator(config.hier.groups, make_level());
-  for (GroupEngine& group : groups) {
-    group.allocator = make_level();
-    group.allocator->reset();
-  }
+  run.epoch_quanta = config.hier.rebalance_quanta;
+  run.threads = config.hier.threads;
+  run.worker_busy_seconds = config.hier.worker_busy_seconds;
 
-  // Observability: coordinator-thread publishing only (the bus is
-  // unsynchronized; group loops must not touch it).
-  obs::EventBus* bus = config.obs.event_bus != nullptr &&
-                               config.obs.event_bus->active()
-                           ? config.obs.event_bus
-                           : nullptr;
-  if (bus != nullptr) {
-    obs::Event start;
-    start.kind = obs::EventKind::kRunStart;
-    start.processors = config.processors;
-    start.quantum_length = config.quantum_length;
-    start.job_count = static_cast<std::int64_t>(n);
-    bus->publish(start);
-    // One submit event per job, in original submission order.
-    std::vector<const JobTrace*> traces(n, nullptr);
-    for (const GroupEngine& group : groups) {
-      for (std::size_t k = 0; k < group.batch.size(); ++k) {
-        traces[group.original[k]] = &group.batch.jobs[k].trace;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::Event e;
-      e.kind = obs::EventKind::kJobSubmit;
-      e.step = traces[i]->release_step;
-      e.job = static_cast<std::int64_t>(i);
-      e.work = traces[i]->work;
-      e.critical_path = traces[i]->critical_path;
-      bus->publish(e);
-    }
-  }
-
-  exp::ThreadPool pool(exp::ThreadPool::resolve_threads(config.hier.threads));
-  const dag::Steps epoch_length =
-      config.hier.rebalance_quanta * config.quantum_length;
-  dag::Steps epoch_start = 0;
+  hier::DesireAggregator aggregator(config.hier.groups, run.make_allocator());
   std::vector<int> desires(group_count, 0);
-  std::vector<std::size_t> weights(group_count, 0);
-
-  while (total_remaining > 0) {
-    if (config.cancel != nullptr && config.cancel->cancelled()) {
-      throw util::CancelledError(
-          std::string(kContext) + ": run cancelled (" +
-              util::to_string(config.cancel->cause()) + ")",
-          config.cancel->cause());
-    }
-    const dag::Steps epoch_end = epoch_start + epoch_length;
+  run.budgets = [&](const std::vector<Partition>& groups,
+                    const Epoch& epoch) {
     std::vector<int> budgets;
     {
       // Desire aggregation + root split, timed as the coordination cost of
@@ -317,14 +70,14 @@ SimResult simulate_job_set_sharded(
         scope.emplace(config.hier.profiler, "hier.rebalance", 1);
       }
       for (std::size_t g = 0; g < group_count; ++g) {
-        desires[g] = groups[g].aggregated_desire(epoch_end);
+        desires[g] = groups[g].loop.aggregated_desire(epoch.end);
       }
       budgets = aggregator.split(desires, config.processors);
     }
-    if (bus != nullptr) {
+    if (epoch.bus != nullptr) {
       obs::Event e;
       e.kind = obs::EventKind::kHierRebalance;
-      e.step = epoch_start;
+      e.step = epoch.start;
       e.hier_groups = config.hier.groups;
       e.pool = config.processors;
       for (const int b : budgets) {
@@ -333,103 +86,32 @@ SimResult simulate_job_set_sharded(
       for (const int d : desires) {
         e.desire += d;
       }
-      for (const GroupEngine& group : groups) {
-        if (group.remaining > 0) {
+      for (const Partition& group : groups) {
+        if (group.loop.remaining > 0) {
           ++e.active_jobs;  // live groups this epoch
         }
       }
-      bus->publish(e);
+      epoch.bus->publish(e);
     }
-
-    // Longest-first group→worker packing (active jobs as the size
-    // estimate): heterogeneous groups start their stragglers first so the
-    // short groups pack around them instead of idling the pool at the
-    // barrier.  Order only affects wall-clock, never results.
+    return budgets;
+  };
+  run.publish_summary = [&](obs::EventBus& bus,
+                            const std::vector<Partition>& groups) {
     for (std::size_t g = 0; g < group_count; ++g) {
-      weights[g] = groups[g].remaining;
-    }
-    for (const std::size_t g : lpt_order(weights)) {
-      GroupEngine& group = groups[g];
-      if (group.remaining == 0 || group.now >= epoch_end) {
-        continue;  // finished, or idle-skipped past this epoch
-      }
-      const int budget = budgets[g];
-      pool.submit(
-          [&group, epoch_end, budget, &shared] {
-            group.advance(epoch_end, budget, shared);
-          });
-    }
-    pool.wait();  // barrier: rethrows the first group exception
-
-    total_remaining = 0;
-    for (const GroupEngine& group : groups) {
-      total_remaining += group.remaining;
-    }
-    epoch_start = epoch_end;
-  }
-
-  if (config.hier.worker_busy_seconds != nullptr) {
-    *config.hier.worker_busy_seconds = pool.worker_busy_seconds();
-  }
-
-  // Deterministic merge: traces by original submission index, aggregate
-  // metrics exactly as engine_core's aggregate_result derives them.
-  SimResult result;
-  result.jobs.resize(n);
-  double response_sum = 0.0;
-  for (GroupEngine& group : groups) {
-    result.quanta += group.quanta;
-    for (std::size_t k = 0; k < group.batch.size(); ++k) {
-      JobTrace& trace = group.batch.jobs[k].trace;
-      result.makespan = std::max(result.makespan, trace.completion_step);
-      response_sum += static_cast<double>(trace.response_time());
-      result.total_waste += trace.total_waste();
-      result.jobs[group.original[k]] = std::move(trace);
-    }
-  }
-  result.mean_response_time =
-      n == 0 ? 0.0 : response_sum / static_cast<double>(n);
-
-  if (bus != nullptr) {
-    // Replay the per-quantum stream from the coordinator.  The group loops
-    // must not publish concurrently (the bus is unsynchronized), but after
-    // the final barrier the merged traces are complete, so sinks receive
-    // the same per-job quantum records the flat engine emits live — just
-    // grouped by job instead of interleaved by step.
-    for (std::size_t j = 0; j < result.jobs.size(); ++j) {
-      const JobTrace& trace = result.jobs[j];
-      for (const sched::QuantumStats& stats : trace.quanta) {
-        obs::Event e;
-        e.kind = obs::EventKind::kQuantum;
-        e.step = stats.start_step;
-        e.job = static_cast<std::int64_t>(j);
-        e.stats = &stats;
-        bus->publish(e);
-      }
-      obs::Event done;
-      done.kind = obs::EventKind::kJobComplete;
-      done.step = trace.completion_step;
-      done.job = static_cast<std::int64_t>(j);
-      bus->publish(done);
-    }
-    for (std::size_t g = 0; g < group_count; ++g) {
+      const QuantumLoop& loop = groups[g].loop;
       obs::Event e;
       e.kind = obs::EventKind::kHierGroupSummary;
-      e.step = groups[g].now;
+      e.step = loop.now;
       e.job = static_cast<std::int64_t>(g);
       e.hier_groups = config.hier.groups;
-      e.work = groups[g].executed_work;
-      e.allotted_cycles = groups[g].allotted_cycles;
-      e.active_jobs = static_cast<std::int64_t>(groups[g].batch.size());
-      bus->publish(e);
+      e.work = loop.executed_work;
+      e.allotted_cycles = loop.allotted_cycles;
+      e.active_jobs = static_cast<std::int64_t>(loop.batch.size());
+      bus.publish(e);
     }
-    obs::Event end;
-    end.kind = obs::EventKind::kRunEnd;
-    end.step = result.makespan;
-    end.makespan = result.makespan;
-    bus->publish(end);
-  }
-  return result;
+  };
+  return run_partitioned(std::move(submissions), run, execution,
+                         request_prototype, config);
 }
 
 }  // namespace abg::sim

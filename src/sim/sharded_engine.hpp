@@ -1,30 +1,19 @@
-// Sharded set engine: the hierarchical tree driven on worker threads.
+// Sharded set engine: the hierarchical tree as a partitioned run.
 //
-// Jobs are partitioned into allocation groups (submission index mod
-// groups); each group runs its own synchronous quantum loop — admission,
-// group-allocator water-fill over its budget, per-job execution, feedback —
-// exactly the fault-free sync loop of engine_core.cpp, but against the
-// group's budget instead of the whole machine.  A coordinator advances the
-// run in *rebalance epochs* of `hier.rebalance_quanta` quanta: it rolls
-// the groups' desires up, splits the machine over them (DesireAggregator),
-// dispatches every live group's epoch onto an exp::ThreadPool, and
-// barriers before the next split.
-//
-// Determinism is the same discipline as the sweep runner: each group's
-// loop touches only its own state, budgets are computed single-threaded
-// between barriers, and results merge by submission index — so output is
-// byte-identical at any `hier.threads`.  With one group the budget is
-// always the whole machine and the trace is byte-identical to flat
-// simulate_job_set under the same allocator (the golden-fixture contract).
+// Jobs are dealt to allocation groups by submission index mod groups; each
+// group is a QuantumLoop over its own group allocator.  Every
+// `hier.rebalance_quanta` quanta the partitioned driver
+// (sim/partitioned_driver.hpp) rolls the groups' desires up, splits the
+// machine over them (DesireAggregator) and advances every live group to
+// the epoch end at its budget on a thread pool.  Output is byte-identical
+// at any `hier.threads`; with one group the budget is always the whole
+// machine and the trace equals flat simulate_job_set's under the same
+// allocator (the golden-fixture contract).
 //
 // Scope: sync boundary model only; no fault plan, no quantum-length
-// policy (std::invalid_argument otherwise).  Observability events are
-// published from the coordinator thread only — run lifecycle, one
-// kHierRebalance per epoch, per-group kHierGroupSummary records, and the
-// per-quantum stream *replayed* from the merged traces after the final
-// barrier (group loops run concurrently and the bus is unsynchronized,
-// so they never publish live; sinks still see every quantum record,
-// grouped by job instead of interleaved by step).
+// policy (std::invalid_argument otherwise).  Events beyond the driver's
+// run lifecycle and replayed quantum stream: one kHierRebalance per epoch
+// and one kHierGroupSummary per group.
 #pragma once
 
 #include "sim/simulator.hpp"

@@ -1,10 +1,8 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <utility>
 
 #include "sim/engine_core.hpp"
-#include "sim/job_runtime.hpp"
 
 namespace abg::sim {
 
@@ -13,60 +11,11 @@ SimResult simulate_job_set(std::vector<JobSubmission> submissions,
                            const sched::RequestPolicy& request_prototype,
                            alloc::Allocator& allocator,
                            const SimConfig& config) {
-  if (config.processors < 1) {
-    throw std::invalid_argument("simulate_job_set: processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(
-        "simulate_job_set: quantum length must be >= 1");
-  }
-  allocator.reset();
-
-  IntakeTotals totals;
-  JobBatch batch = intake_submissions(std::move(submissions),
-                                      request_prototype, "simulate_job_set",
-                                      totals);
-
-  // With a quantum-length policy the first boundary is the policy's
-  // choice and the derived safety bound is widened to the larger of the
-  // two lengths; without one this resolves to config.quantum_length and
-  // the arithmetic below is the historic formula, bit for bit.
-  dag::Steps initial_length = config.quantum_length;
-  if (config.quantum_length_policy != nullptr) {
-    config.quantum_length_policy->reset();
-    initial_length = config.quantum_length_policy->initial_length();
-    if (initial_length < 1) {
-      throw std::logic_error(
-          "simulate_job_set: quantum-length policy returned length < 1");
-    }
-  }
-  const dag::Steps bound_length =
-      std::max(config.quantum_length, initial_length);
-  dag::Steps max_steps =
-      config.max_steps > 0
-          ? config.max_steps
-          : totals.latest_release + 8 * totals.total_work + 64 * bound_length;
-  const bool faulty = config.faults != nullptr && !config.faults->empty();
-  if (faulty && config.max_steps == 0) {
-    max_steps +=
-        fault_bound_slack(*config.faults, totals.total_work, bound_length);
-  }
-
-  CoreConfig core;
-  core.context = "simulate_job_set";
-  core.processors = config.processors;
-  core.quantum_length = initial_length;
-  core.max_steps = max_steps;
-  core.max_active = config.max_active_jobs > 0
-                        ? static_cast<std::size_t>(config.max_active_jobs)
-                        : static_cast<std::size_t>(config.processors);
-  core.reallocation_cost_per_proc = config.reallocation_cost_per_proc;
-  core.faults = config.faults;
-  core.quantum_length_policy = config.quantum_length_policy;
-  core.stall_reason = "scheduling is not making progress";
-  core.bus = config.obs.event_bus;
-  core.cancel = config.cancel;
-  return run_global_quanta(batch, totals, execution, allocator, core);
+  SetRun set = prepare_set(std::move(submissions), request_prototype,
+                           allocator, config, "simulate_job_set");
+  return QuantumLoop(std::move(set.batch), set.totals.remaining, execution,
+                     allocator, set.core)
+      .run();
 }
 
 }  // namespace abg::sim

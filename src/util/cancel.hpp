@@ -92,4 +92,14 @@ class CancelledError : public std::runtime_error {
   CancelCause cause_;
 };
 
+/// Poll site of a run loop: throws "<context>: run cancelled (<cause>)"
+/// when `token` is set and has fired.  A null token costs one test.
+inline void throw_if_cancelled(const CancelToken* token, const char* context) {
+  if (token != nullptr && token->cancelled()) {
+    throw CancelledError(std::string(context) + ": run cancelled (" +
+                             to_string(token->cause()) + ")",
+                         token->cause());
+  }
+}
+
 }  // namespace abg::util

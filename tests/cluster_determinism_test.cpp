@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
 #include "alloc/equipartition.hpp"
+#include "alloc/hesrpt.hpp"
 #include "cluster/cluster_engine.hpp"
 #include "dag/profile_job.hpp"
 #include "cluster/cluster_spec.hpp"
@@ -265,12 +268,39 @@ TEST(Router, ClassAffinityCoLocatesClasses) {
 
 TEST(ClusterEngine, OneMachineMatchesFlatRunSet) {
   // The golden-fixture contract in unit-test form: a 1-machine cluster
-  // reproduces the flat sync engine trace for trace.
-  const sim::SimConfig flat{.processors = 16, .quantum_length = 50};
-  const sim::SimResult flat_result =
-      core::run_set(core::abg_spec(), make_submissions(11), flat);
-  const sim::SimResult one_machine = run_cluster(cluster_config(1, 2));
-  expect_results_identical(flat_result, one_machine);
+  // reproduces the flat sync engine trace for trace, with and without
+  // reallocation cost, under DEQ and under the size-aware heSRPT
+  // allocator.  heSRPT's input is seed 12: five jobs of distinct sizes
+  // whose size order differs from their index order, so a machine loop
+  // that withheld remaining work would rank them differently.
+  for (const bool hesrpt : {false, true}) {
+    const std::uint64_t seed = hesrpt ? 12 : 11;
+    std::set<dag::TaskCount> sizes;
+    for (const sim::JobSubmission& s : make_submissions(seed)) {
+      sizes.insert(s.job->total_work());
+    }
+    ASSERT_EQ(sizes.size(), make_submissions(seed).size());
+    for (const dag::Steps cost : {0, 1}) {
+      SCOPED_TRACE(std::string(hesrpt ? "hesrpt" : "deq") + " cost " +
+                   std::to_string(cost));
+      std::unique_ptr<alloc::Allocator> allocator;
+      if (hesrpt) {
+        allocator = std::make_unique<alloc::HeSrpt>();
+      } else {
+        allocator = std::make_unique<alloc::EquiPartition>();
+      }
+      sim::SimConfig flat{.processors = 16, .quantum_length = 50};
+      flat.reallocation_cost_per_proc = cost;
+      sim::SimConfig one_machine = cluster_config(1, 2);
+      one_machine.reallocation_cost_per_proc = cost;
+      const sim::SimResult flat_result = core::run_set(
+          core::abg_spec(), make_submissions(seed), flat, allocator.get());
+      const sim::SimResult cluster_result = core::run_set(
+          core::abg_spec(), make_submissions(seed), one_machine,
+          allocator.get());
+      expect_results_identical(flat_result, cluster_result);
+    }
+  }
 }
 
 TEST(ClusterEngine, IdenticalAtAnyThreadCount) {

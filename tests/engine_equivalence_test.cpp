@@ -1,7 +1,7 @@
 // The unified-core equivalence contract: a job set of one pushed through
 // simulate_job_set must reproduce run_single_job quantum-for-quantum —
 // same boundaries, requests, allotments, work, and completion — because
-// both are now thin wrappers over the same run_global_quanta loop.  The
+// both are now thin wrappers over the same sim::QuantumLoop.  The
 // suite exercises the full feature matrix: plain runs, reallocation
 // overhead, adaptive quantum lengths, and fault plans.
 #include <gtest/gtest.h>

@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "alloc/availability_profile.hpp"
 #include "alloc/equipartition.hpp"
+#include "alloc/hesrpt.hpp"
 #include "alloc/round_robin.hpp"
 #include "alloc/unconstrained.hpp"
 #include "core/run.hpp"
-#include "sim/async_simulator.hpp"
 #include "dag/builders.hpp"
 #include "dag/dag_job.hpp"
 #include "dag/profile_job.hpp"
@@ -156,30 +157,59 @@ TEST_P(Fuzz, JobSetResultsAlwaysValidate) {
       subs.push_back(std::move(s));
     }
     const auto spec = random_scheduler(rng, processors);
-    auto allocator = std::make_unique<alloc::EquiPartition>();
-    const bool use_async = rng.bernoulli(0.3);
+    std::unique_ptr<alloc::Allocator> allocator;
+    if (rng.bernoulli(0.5)) {
+      allocator = std::make_unique<alloc::HeSrpt>();
+    } else {
+      allocator = std::make_unique<alloc::EquiPartition>();
+    }
     sim::SimConfig config{
         .processors = processors,
         .quantum_length = rng.uniform_int(1, 40),
         .max_active_jobs =
             static_cast<int>(rng.uniform_int(1, processors)),
         .reallocation_cost_per_proc = rng.uniform_int(0, 1)};
-    if (use_async || config.quantum_length < 8) {
+    // Every closed driver: flat sync, async, sharded over 1-4 groups and
+    // cluster over 1-3 machines with or without migration, the tiered ones
+    // on 1-3 pool workers.
+    std::string driver;
+    int total_processors = processors;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        driver = "sync";
+        break;
+      case 1:
+        driver = "async";
+        config.engine = sim::EngineKind::kAsync;
+        break;
+      case 2:
+        config.hier.groups = static_cast<int>(rng.uniform_int(1, 4));
+        config.hier.threads = static_cast<int>(rng.uniform_int(1, 3));
+        driver = "sharded x" + std::to_string(config.hier.groups);
+        break;
+      default:
+        config.cluster.machines = static_cast<int>(rng.uniform_int(1, 3));
+        config.cluster.migration_period = rng.bernoulli(0.5) ? 2 : 0;
+        config.cluster.threads = static_cast<int>(rng.uniform_int(1, 3));
+        total_processors = processors * config.cluster.machines;
+        driver = "cluster x" + std::to_string(config.cluster.machines) +
+                 " migration " +
+                 std::to_string(config.cluster.migration_period);
+        break;
+    }
+    if (config.engine == sim::EngineKind::kAsync ||
+        config.quantum_length < 8) {
       // Tiny quanta with migration charges can livelock by design (every
       // quantum consumed by reallocation); that regime is exercised
       // deliberately in overhead_test, not fuzzed.
       config.reallocation_cost_per_proc = 0;
     }
     const sim::SimResult result =
-        use_async ? sim::simulate_job_set_async(std::move(subs),
-                                                *spec.execution,
-                                                *spec.request, config)
-                  : core::run_set(spec, std::move(subs), config,
-                                  allocator.get());
-    const auto issues = sim::validate_result(result, processors);
+        core::run_set(spec, std::move(subs), config, allocator.get());
+    const auto issues = sim::validate_result(result, total_processors);
     ASSERT_TRUE(issues.empty())
-        << spec.name << (use_async ? " (async)" : "") << ": "
-        << issues.front();
+        << spec.name << " on " << allocator->name() << " (" << driver
+        << "): " << issues.front();
   }
 }
 

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
 #include "alloc/equipartition.hpp"
+#include "alloc/hesrpt.hpp"
 #include "core/run.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/runner.hpp"
@@ -89,13 +92,39 @@ void expect_results_identical(const SimResult& a, const SimResult& b) {
 }
 
 TEST(ShardedEngine, OneGroupMatchesFlatRunSet) {
-  // The golden-fixture contract in unit-test form: hier-groups=1 under the
-  // default allocator reproduces the flat sync engine trace for trace.
-  const SimConfig flat{.processors = 16, .quantum_length = 50};
-  const SimResult flat_result =
-      core::run_set(core::abg_spec(), make_submissions(11), flat);
-  const SimResult hier_result = run_hier(hier_config(1, 2));
-  expect_results_identical(flat_result, hier_result);
+  // The golden-fixture contract in unit-test form: hier-groups=1 cloning
+  // the machine allocator reproduces the flat sync engine trace for trace,
+  // with and without reallocation cost, under DEQ and under the size-aware
+  // heSRPT allocator.  heSRPT's input is seed 12: five jobs of distinct
+  // sizes whose size order differs from their index order, so a group
+  // loop that withheld remaining work would rank them differently.
+  for (const bool hesrpt : {false, true}) {
+    const std::uint64_t seed = hesrpt ? 12 : 11;
+    std::set<dag::TaskCount> sizes;
+    for (const JobSubmission& s : make_submissions(seed)) {
+      sizes.insert(s.job->total_work());
+    }
+    ASSERT_EQ(sizes.size(), make_submissions(seed).size());
+    for (const dag::Steps cost : {0, 1}) {
+      SCOPED_TRACE(std::string(hesrpt ? "hesrpt" : "deq") + " cost " +
+                   std::to_string(cost));
+      std::unique_ptr<alloc::Allocator> allocator;
+      if (hesrpt) {
+        allocator = std::make_unique<alloc::HeSrpt>();
+      } else {
+        allocator = std::make_unique<alloc::EquiPartition>();
+      }
+      SimConfig flat{.processors = 16, .quantum_length = 50};
+      flat.reallocation_cost_per_proc = cost;
+      SimConfig hier = hier_config(1, 2);
+      hier.reallocation_cost_per_proc = cost;
+      const SimResult flat_result = core::run_set(
+          core::abg_spec(), make_submissions(seed), flat, allocator.get());
+      const SimResult hier_result = core::run_set(
+          core::abg_spec(), make_submissions(seed), hier, allocator.get());
+      expect_results_identical(flat_result, hier_result);
+    }
+  }
 }
 
 TEST(ShardedEngine, IdenticalAtAnyThreadCount) {
