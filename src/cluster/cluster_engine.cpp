@@ -110,15 +110,10 @@ sim::SimResult simulate_job_set_cluster(
     const sched::ExecutionPolicy& execution,
     const sched::RequestPolicy& request_prototype,
     alloc::Allocator& allocator, const sim::SimConfig& config) {
-  sim::check_partitioned_config(config, kContext, "cluster mode");
+  config.validate(kContext);
   if (config.cluster.migration_period < 0) {
     throw std::invalid_argument(std::string(kContext) +
                                 ": migration period must be >= 0 quanta");
-  }
-  if (config.hier.groups != 0) {
-    throw std::invalid_argument(
-        std::string(kContext) +
-        ": cluster mode does not compose with hierarchical allocation");
   }
   const ClusterSpec spec = ClusterSpec::resolve(config, kContext);
   const std::unique_ptr<Router> router = make_router(config.cluster.router);

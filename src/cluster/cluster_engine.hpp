@@ -28,9 +28,9 @@
 namespace abg::cluster {
 
 /// Simulates the job set on the cluster `config.cluster` describes.
-/// Requires the sync boundary model and no fault plan, quantum-length
-/// policy, or hierarchical allocation; throws std::invalid_argument
-/// otherwise.  The allocator is reset and cloned per machine.
+/// Throws std::invalid_argument when SimConfig::validate rejects the
+/// config (sim::check_composition lists the excluded axes).  The
+/// allocator is reset and cloned per machine.
 sim::SimResult simulate_job_set_cluster(
     std::vector<sim::JobSubmission> submissions,
     const sched::ExecutionPolicy& execution,

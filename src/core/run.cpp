@@ -67,15 +67,14 @@ sim::SimResult run_set(const SchedulerSpec& spec,
   alloc::EquiPartition fallback;
   alloc::Allocator& alloc_ref = allocator ? *allocator : fallback;
   if (config.cluster.machines != 0) {
-    // Cluster mode: the cluster driver validates the rest of the config
-    // (sync-only, no faults, no quantum-length policy, no hier groups).
+    // Cluster mode: the cluster driver validates the rest of the config.
     return cluster::simulate_job_set_cluster(std::move(submissions),
                                              *spec.execution, *spec.request,
                                              alloc_ref, config);
   }
   if (config.hier.groups != 0) {
     // Hierarchical allocation: the sharded engine validates the rest of
-    // the config (sync-only, no faults, no quantum-length policy).
+    // the config.
     return sim::simulate_job_set_sharded(std::move(submissions),
                                          *spec.execution, *spec.request,
                                          alloc_ref, config);

@@ -4,6 +4,17 @@
 
 namespace abg::exp {
 
+sim::RunAxes axes_of(const RunSpec& spec) {
+  return sim::RunAxes{
+      .async = spec.engine == sim::EngineKind::kAsync,
+      .faults = spec.faults.scenario != FaultScenario::kNone,
+      .hier = spec.hier_groups != 0,
+      .cluster = spec.cluster_machines != 0,
+      .open = spec.open.arrival != open::ArrivalKind::kNone,
+      .staggered_release = spec.workload.release != ReleaseKind::kBatched,
+  };
+}
+
 std::string to_string(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kAbg:

@@ -113,8 +113,8 @@ struct FaultSpec {
 /// default open workload, constant-memory statistics) instead of
 /// simulating a closed job set; workload.load doubles as the offered load
 /// the arrival gap is calibrated to (0 = use the generator defaults).
-/// Open runs compose with the scheduler, machine, and allocator axes but
-/// not with faults, hierarchical allocation, or the async engine.
+/// Open runs compose with the scheduler, machine, and allocator axes;
+/// sim::check_composition lists what they exclude.
 struct OpenSpec {
   open::ArrivalKind arrival = open::ArrivalKind::kNone;
   /// Arrivals to stream through the system (>= 1 when engaged).
@@ -219,6 +219,9 @@ SchedulerKind scheduler_kind_from_name(const std::string& name);
 WorkloadKind workload_kind_from_name(const std::string& name);
 FaultScenario fault_scenario_from_name(const std::string& name);
 ReleaseKind release_kind_from_name(const std::string& name);
+
+/// The axes a spec engages, for sim::check_composition.
+sim::RunAxes axes_of(const RunSpec& spec);
 
 /// Instantiates the scheduler a spec names.
 core::SchedulerSpec make_scheduler(SchedulerKind kind,

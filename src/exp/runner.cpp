@@ -60,6 +60,46 @@ std::function<void(const Progress&)> stderr_progress() {
 
 namespace {
 
+/// The allocator a spec names (null: the engine's DEQ).  One per simulated
+/// run: round-robin is stateful, so sharing one would race.
+std::unique_ptr<alloc::Allocator> make_allocator(AllocatorKind kind) {
+  if (kind == AllocatorKind::kRoundRobin) {
+    return std::make_unique<alloc::RoundRobin>();
+  }
+  if (kind == AllocatorKind::kHesrpt) {
+    return std::make_unique<alloc::HeSrpt>();
+  }
+  return nullptr;
+}
+
+/// A record carrying the spec's identity (no metrics yet).
+RunRecord record_of(const RunSpec& spec, std::uint64_t seed) {
+  RunRecord record;
+  record.group = spec.group;
+  record.scheduler = to_string(spec.scheduler);
+  record.workload = to_string(spec.workload.kind);
+  record.fault = to_string(spec.faults.scenario);
+  record.engine = std::string(sim::to_string(spec.engine));
+  record.hier_groups = spec.hier_groups;
+  record.hier_alloc = spec.hier_alloc;
+  record.cluster_machines = spec.cluster_machines;
+  record.router = spec.router;
+  if (spec.open.arrival != open::ArrivalKind::kNone) {
+    record.arrival = open::to_string(spec.open.arrival);
+  }
+  record.seed = seed;
+  return record;
+}
+
+/// The scenario a kScenario spec names.
+const scenario::ScenarioSpec& scenario_of(const RunSpec& spec) {
+  if (spec.workload.scenario_path.empty()) {
+    throw std::invalid_argument(
+        "RunSpec: scenario workload needs a scenario_path");
+  }
+  return scenario::load_cached(spec.workload.scenario_path);
+}
+
 /// Materializes the spec's workload from `rng` and returns submissions.
 std::vector<sim::JobSubmission> build_workload(const RunSpec& spec,
                                                util::Rng& rng) {
@@ -113,18 +153,12 @@ std::vector<sim::JobSubmission> build_workload(const RunSpec& spec,
       }
       break;
     }
-    case WorkloadKind::kScenario: {
-      if (spec.workload.scenario_path.empty()) {
-        throw std::invalid_argument(
-            "RunSpec: scenario workload needs a scenario_path");
-      }
-      const scenario::ScenarioSpec& scenario =
-          scenario::load_cached(spec.workload.scenario_path);
+    case WorkloadKind::kScenario:
       // The scenario owns the release schedule, so the generic release
       // block below must not touch these submissions.
-      return scenario::generate_jobs(scenario, rng, spec.machine.processors,
+      return scenario::generate_jobs(scenario_of(spec), rng,
+                                     spec.machine.processors,
                                      spec.machine.quantum_length);
-    }
   }
   if (subs.empty()) {
     throw std::invalid_argument("RunSpec: workload produced no jobs");
@@ -280,6 +314,7 @@ RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
 
 RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
                       const RunContext& context) {
+  sim::check_composition(axes_of(spec), "RunSpec");
   obs::MetricsRegistry* const metrics_out = context.metrics;
   // Failure-injection hooks (robustness fixtures only).
   if (spec.debug.fail_attempts > 0 &&
@@ -302,17 +337,7 @@ RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
   }
   const std::uint64_t seed = util::Rng::derive_seed(base_seed,
                                                     spec.seed_index);
-  RunRecord record;
-  record.group = spec.group;
-  record.scheduler = to_string(spec.scheduler);
-  record.workload = to_string(spec.workload.kind);
-  record.fault = to_string(spec.faults.scenario);
-  record.engine = std::string(sim::to_string(spec.engine));
-  record.hier_groups = spec.hier_groups;
-  record.hier_alloc = spec.hier_alloc;
-  record.cluster_machines = spec.cluster_machines;
-  record.router = spec.router;
-  record.seed = seed;
+  RunRecord record = record_of(spec, seed);
 
   // The run's private bus: the runner's metrics sink first, then any
   // caller-supplied bus from the spec.  With neither, the bus stays
@@ -328,23 +353,6 @@ RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
   // Open-system axis: stream continuously arriving jobs instead of
   // simulating a closed workload.
   if (spec.open.arrival != open::ArrivalKind::kNone) {
-    if (spec.faults.scenario != FaultScenario::kNone) {
-      throw std::invalid_argument(
-          "RunSpec: open runs do not compose with fault scenarios");
-    }
-    if (spec.hier_groups != 0) {
-      throw std::invalid_argument(
-          "RunSpec: open runs do not compose with hierarchical allocation");
-    }
-    if (spec.cluster_machines != 0) {
-      throw std::invalid_argument(
-          "RunSpec: open runs do not compose with the cluster axis");
-    }
-    if (spec.engine != sim::EngineKind::kSync) {
-      throw std::invalid_argument(
-          "RunSpec: open runs require the sync engine");
-    }
-    record.arrival = open::to_string(spec.open.arrival);
     open::OpenConfig open_config;
     open_config.processors = spec.machine.processors;
     open_config.quantum_length = spec.machine.quantum_length;
@@ -356,25 +364,15 @@ RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
     open_config.cancel = context.cancel;
     open::JobFactory factory;  // null = the engine's default workload
     if (spec.workload.kind == WorkloadKind::kScenario) {
-      if (spec.workload.scenario_path.empty()) {
-        throw std::invalid_argument(
-            "RunSpec: scenario workload needs a scenario_path");
-      }
-      factory = scenario::make_open_factory(
-          scenario::load_cached(spec.workload.scenario_path),
-          spec.machine.processors, spec.machine.quantum_length);
+      factory = scenario::make_open_factory(scenario_of(spec),
+                                            spec.machine.processors,
+                                            spec.machine.quantum_length);
     }
-    alloc::RoundRobin round_robin;
-    alloc::HeSrpt hesrpt;
-    alloc::Allocator* const machine =
-        spec.allocator == AllocatorKind::kRoundRobin
-            ? static_cast<alloc::Allocator*>(&round_robin)
-            : spec.allocator == AllocatorKind::kHesrpt
-                  ? static_cast<alloc::Allocator*>(&hesrpt)
-                  : nullptr;
+    const std::unique_ptr<alloc::Allocator> machine =
+        make_allocator(spec.allocator);
     const open::OpenResult result = core::run_open(
         make_scheduler(spec.scheduler, spec.scheduler_params), open_config,
-        seed, factory, machine);
+        seed, factory, machine.get());
     append_open_metrics(result, record);
     return record;
   }
@@ -395,69 +393,38 @@ RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
                         .engine = spec.engine};
   config.obs.event_bus = &bus;
   config.cancel = context.cancel;
-  // Hierarchical runs default their group loops to single-threaded inside
-  // a sweep: runs are the sweep's unit of parallelism, and nested pools
-  // would oversubscribe without changing any result (the sharded engine
-  // is thread-count independent).  Sweeps of few large hier cells can opt
-  // into wider group loops via spec.hier_threads.
+  // Group and machine loops default to single-threaded inside a sweep:
+  // runs are the sweep's unit of parallelism, and nested pools would
+  // oversubscribe without changing any result (both tiered drivers are
+  // thread-count independent).  Sweeps of few large cells can opt into
+  // wider loops via spec.hier_threads / spec.cluster_threads.
   config.hier.groups = spec.hier_groups;
   config.hier.allocator = spec.hier_alloc;
   config.hier.threads = std::max(1, spec.hier_threads);
-
-  // Cluster axis: route the workload across cluster_machines machines of
-  // machine.processors each.  Like hier_threads, cluster_threads only
-  // parallelizes the machine loops without changing any result.
-  if (spec.cluster_machines != 0) {
-    if (spec.faults.scenario != FaultScenario::kNone) {
-      throw std::invalid_argument(
-          "RunSpec: cluster runs do not compose with fault scenarios");
-    }
-    if (spec.hier_groups != 0) {
-      throw std::invalid_argument(
-          "RunSpec: cluster runs do not compose with hierarchical "
-          "allocation");
-    }
-    if (spec.engine != sim::EngineKind::kSync) {
-      throw std::invalid_argument(
-          "RunSpec: cluster runs require the sync engine");
-    }
-    config.cluster.machines = spec.cluster_machines;
-    config.cluster.router = spec.router;
-    config.cluster.migration_period = spec.migration_period;
-    config.cluster.threads = std::max(1, spec.cluster_threads);
-    // A scenario may carry heterogeneous machine shapes for the cluster it
-    // was written for; they apply when the run's machine count matches
-    // (shapes are scenario content, external by path like the jobs
-    // themselves, so they never appear in the spec or its digest).
-    if (spec.workload.kind == WorkloadKind::kScenario &&
-        !spec.workload.scenario_path.empty()) {
-      const scenario::ScenarioSpec& scenario =
-          scenario::load_cached(spec.workload.scenario_path);
-      if (static_cast<int>(scenario.cluster.shapes.size()) ==
+  // Cluster axis: cluster_machines machines of machine.processors each.
+  config.cluster.machines = spec.cluster_machines;
+  config.cluster.router = spec.router;
+  config.cluster.migration_period = spec.migration_period;
+  config.cluster.threads = std::max(1, spec.cluster_threads);
+  // A scenario's machine shapes apply when the run's machine count
+  // matches (scenario content, so never part of the spec or its digest).
+  if (spec.cluster_machines != 0 &&
+      spec.workload.kind == WorkloadKind::kScenario &&
+      static_cast<int>(scenario_of(spec).cluster.shapes.size()) ==
           spec.cluster_machines) {
-        config.cluster.shapes = scenario.cluster.shapes;
-      }
-    }
+    config.cluster.shapes = scenario_of(spec).cluster.shapes;
   }
 
-  // One allocator instance per simulated run: allocators may be stateful
-  // (round-robin rotates its start index), so sharing one across threads
-  // would both race and break determinism.
   const auto run_once = [&spec, &config](
                             std::vector<sim::JobSubmission> subs,
                             const fault::FaultPlan* plan) {
     sim::SimConfig run_config = config;
     run_config.faults = plan;
-    alloc::RoundRobin round_robin;
-    alloc::HeSrpt hesrpt;
+    const std::unique_ptr<alloc::Allocator> allocator =
+        make_allocator(spec.allocator);
     return core::run_set(
         make_scheduler(spec.scheduler, spec.scheduler_params),
-        std::move(subs), run_config,
-        spec.allocator == AllocatorKind::kRoundRobin
-            ? static_cast<alloc::Allocator*>(&round_robin)
-            : spec.allocator == AllocatorKind::kHesrpt
-                  ? static_cast<alloc::Allocator*>(&hesrpt)
-                  : nullptr);
+        std::move(subs), run_config, allocator.get());
   };
 
   if (spec.faults.scenario == FaultScenario::kNone) {
@@ -759,23 +726,10 @@ SweepOutcome SweepRunner::run_monitored(
 
       // Poison run: the retry budget is gone.  Record identity + cause so
       // the artifacts say explicitly what is missing and why.
-      RunRecord record;
+      RunRecord record = record_of(
+          spec, util::Rng::derive_seed(config_.base_seed, spec.seed_index));
       record.run_id = run_id;
-      record.group = spec.group;
-      record.scheduler = to_string(spec.scheduler);
-      record.workload = to_string(spec.workload.kind);
-      record.fault = to_string(spec.faults.scenario);
-      record.engine = std::string(sim::to_string(spec.engine));
-      record.hier_groups = spec.hier_groups;
-      record.hier_alloc = spec.hier_alloc;
-      record.cluster_machines = spec.cluster_machines;
-      record.router = spec.router;
-      if (spec.open.arrival != open::ArrivalKind::kNone) {
-        record.arrival = open::to_string(spec.open.arrival);
-      }
       record.failure = failure_cause;
-      record.seed =
-          util::Rng::derive_seed(config_.base_seed, spec.seed_index);
       if (rb.journal != nullptr) {
         rb.journal->record_quarantine(run_id, digest, attempts_allowed,
                                       failure_cause);

@@ -139,7 +139,8 @@ struct SweepConfig {
 std::function<void(const Progress&)> stderr_progress();
 
 /// Executes one RunSpec in the calling thread and returns its record (with
-/// run_id unset).  This is the unit of work SweepRunner parallelizes;
+/// run_id unset).  A spec whose axes sim::check_composition forbids throws
+/// std::invalid_argument before anything runs.  This is the unit of work SweepRunner parallelizes;
 /// exposed so tests and special-purpose harnesses can run it directly.
 RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed);
 

@@ -142,12 +142,7 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
                       const sched::RequestPolicy& request_prototype,
                       const JobFactory& factory, alloc::Allocator& allocator,
                       const OpenConfig& config, std::uint64_t seed) {
-  if (config.processors < 1) {
-    throw std::invalid_argument("run_stream: processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument("run_stream: quantum_length must be >= 1");
-  }
+  sim::check_machine(config.processors, config.quantum_length, "run_stream");
   if (config.jobs_total < 1) {
     throw std::invalid_argument("run_stream: jobs_total must be >= 1");
   }

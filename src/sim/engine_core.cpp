@@ -230,13 +230,7 @@ SetRun prepare_set(std::vector<JobSubmission> submissions,
                    const sched::RequestPolicy& request_prototype,
                    alloc::Allocator& allocator, const SimConfig& config,
                    const char* context) {
-  const std::string prefix = std::string(context) + ": ";
-  if (config.processors < 1) {
-    throw std::invalid_argument(prefix + "processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(prefix + "quantum length must be >= 1");
-  }
+  config.validate(context);
   allocator.reset();
   SetRun set;
   set.batch = intake_submissions(std::move(submissions), request_prototype,
@@ -251,8 +245,8 @@ SetRun prepare_set(std::vector<JobSubmission> submissions,
     config.quantum_length_policy->reset();
     initial_length = config.quantum_length_policy->initial_length();
     if (initial_length < 1) {
-      throw std::logic_error(prefix +
-                             "quantum-length policy returned length < 1");
+      throw std::logic_error(std::string(context) +
+                             ": quantum-length policy returned length < 1");
     }
   }
   const dag::Steps bound_length =

@@ -189,8 +189,8 @@ struct SetRun {
   CoreConfig core;
 };
 
-/// Front half of simulate_job_set and simulate_job_set_async: rejects a
-/// machine size or quantum length below 1, resets the allocator, ingests
+/// Front half of simulate_job_set and simulate_job_set_async: validates
+/// the config (SimConfig::validate), resets the allocator, ingests
 /// the submissions, and resolves the quantum-length policy's initial
 /// length (as core.quantum_length), the safety bound (widened by the
 /// fault plan's slack) and the admission cap.  Messages start with

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "exp/thread_pool.hpp"
@@ -62,29 +60,6 @@ void publish_outcome(obs::EventBus& bus, const PartitionedRun& run,
 }
 
 }  // namespace
-
-void check_partitioned_config(const SimConfig& config, const char* context,
-                              const char* mode) {
-  const std::string prefix = std::string(context) + ": ";
-  if (config.processors < 1) {
-    throw std::invalid_argument(prefix + "processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(prefix + "quantum length must be >= 1");
-  }
-  if (config.engine == EngineKind::kAsync) {
-    throw std::invalid_argument(prefix + mode +
-                                " requires the sync boundary model");
-  }
-  if (config.faults != nullptr && !config.faults->empty()) {
-    throw std::invalid_argument(prefix +
-                                "fault plans are not supported with " + mode);
-  }
-  if (config.quantum_length_policy != nullptr) {
-    throw std::invalid_argument(
-        prefix + "quantum-length policies are not supported with " + mode);
-  }
-}
 
 SimResult run_partitioned(std::vector<JobSubmission> submissions,
                           const PartitionedRun& run,

@@ -95,13 +95,6 @@ struct PartitionedRun {
   std::vector<double>* worker_busy_seconds = nullptr;
 };
 
-/// The rejections every tiered mode shares, worded "<context>: <what>" and
-/// naming the mode ("hierarchical allocation", "cluster mode"): machine
-/// size and quantum length below 1, the async boundary model, a non-empty
-/// fault plan and a quantum-length policy.  Throws std::invalid_argument.
-void check_partitioned_config(const SimConfig& config, const char* context,
-                              const char* mode);
-
 /// Runs the submissions to completion over run.shapes.size() partitions.
 /// The safety bound comes from the global totals, so a one-partition run
 /// matches the flat engine bit for bit.

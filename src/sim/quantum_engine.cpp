@@ -87,13 +87,7 @@ JobTrace run_single_job(dag::Job& job, const sched::ExecutionPolicy& execution,
                         sched::QuantumLengthPolicy& quantum_length,
                         alloc::Allocator& allocator,
                         const SingleJobConfig& config) {
-  if (config.processors < 1) {
-    throw std::invalid_argument("run_single_job: processors must be >= 1");
-  }
-  if (config.quantum_length < 1) {
-    throw std::invalid_argument(
-        "run_single_job: quantum length must be >= 1");
-  }
+  check_machine(config.processors, config.quantum_length, "run_single_job");
   request.reset();
   quantum_length.reset();
 

@@ -24,7 +24,7 @@ SimResult simulate_job_set_sharded(
     const sched::ExecutionPolicy& execution,
     const sched::RequestPolicy& request_prototype,
     alloc::Allocator& allocator, const SimConfig& config) {
-  check_partitioned_config(config, kContext, "hierarchical allocation");
+  config.validate(kContext);
   if (config.hier.groups < 1) {
     throw std::invalid_argument(std::string(kContext) +
                                 ": hier groups must be >= 1");

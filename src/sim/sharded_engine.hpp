@@ -10,10 +10,10 @@
 // machine and the trace equals flat simulate_job_set's under the same
 // allocator (the golden-fixture contract).
 //
-// Scope: sync boundary model only; no fault plan, no quantum-length
-// policy (std::invalid_argument otherwise).  Events beyond the driver's
-// run lifecycle and replayed quantum stream: one kHierRebalance per epoch
-// and one kHierGroupSummary per group.
+// Scope: what sim::check_composition allows (std::invalid_argument
+// otherwise).  Events beyond the driver's run lifecycle and replayed
+// quantum stream: one kHierRebalance per epoch and one kHierGroupSummary
+// per group.
 #pragma once
 
 #include "sim/simulator.hpp"

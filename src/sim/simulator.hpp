@@ -149,10 +149,8 @@ struct SimConfig {
   /// output is identical to a run without the field.  The plan must
   /// outlive the simulation call.
   const fault::FaultPlan* faults = nullptr;
-  /// Boundary model used by drivers that dispatch on the config
-  /// (core::run_set, the exp sweep layer).  Direct calls to
-  /// simulate_job_set / simulate_job_set_async ignore this field — the
-  /// entry point already names the engine.
+  /// Boundary model core::run_set dispatches on.  The direct entry points
+  /// name their own and read this only in validate().
   EngineKind engine = EngineKind::kSync;
   /// Optional quantum-length policy (Section 9's dynamic-quantum
   /// extension).  Null reproduces the fixed-length setting byte-for-byte.
@@ -170,14 +168,11 @@ struct SimConfig {
   obs::ObsConfig obs = {};
   /// Hierarchical allocation (0 groups = flat, the default).  When groups
   /// >= 1, core::run_set dispatches to the sharded set engine
-  /// (sim/sharded_engine.hpp), which requires the sync boundary model and
-  /// supports no fault plan or quantum-length policy.
+  /// (sim/sharded_engine.hpp).
   HierConfig hier = {};
   /// Cluster mode (0 machines = flat, the default).  When machines >= 1,
   /// core::run_set dispatches to the cluster driver
-  /// (cluster/cluster_engine.hpp), which requires the sync boundary model
-  /// and composes with neither fault plans, quantum-length policies, nor
-  /// hierarchical allocation.
+  /// (cluster/cluster_engine.hpp).
   ClusterConfig cluster = {};
   /// Optional cooperative cancellation (see util/cancel.hpp).  Polled at
   /// quantum boundaries; a cancelled run unwinds by throwing
@@ -191,7 +186,33 @@ struct SimConfig {
   /// unit steps regardless.  The sync engine executes whole quanta in
   /// closed form already and ignores this field.
   bool skip_ahead = true;
+
+  /// check_machine, then check_composition(axes_of(*this)); every closed
+  /// driver calls it before it touches a job.
+  void validate(std::string_view context) const;
 };
+
+/// The axes that decide which loop runs a configuration; all off by default.
+struct RunAxes {
+  bool async = false;
+  bool faults = false;  // a non-empty fault plan or fault scenario
+  bool quantum_policy = false;
+  bool hier = false;
+  bool cluster = false;
+  bool open = false;
+  bool staggered_release = false;  // a closed schedule other than batched
+};
+
+RunAxes axes_of(const SimConfig& config);
+
+/// Throws std::invalid_argument unless processors and quantum length >= 1.
+void check_machine(int processors, dag::Steps quantum_length,
+                   std::string_view context);
+
+/// The one composition table (simulator.cpp; docs/architecture.md):
+/// throws std::invalid_argument, prefixed by `context` and naming both
+/// axes, for the first engaged pair no driver runs together.
+void check_composition(const RunAxes& axes, std::string_view context);
 
 /// Result of simulating a job set.
 struct SimResult {

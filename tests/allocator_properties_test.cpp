@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include "alloc/availability_profile.hpp"
 #include "alloc/equipartition.hpp"
@@ -26,6 +28,10 @@ struct AllocatorCase {
   bool non_reserving;
   bool fair;
 };
+
+// gtest appends the printed parameter to each test's name; print the
+// case name so names stay the same from one build to the next.
+void PrintTo(const AllocatorCase& c, std::ostream* os) { *os << c.name; }
 
 std::unique_ptr<Allocator> make_deq() {
   return std::make_unique<EquiPartition>();

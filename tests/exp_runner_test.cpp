@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exp/result_sink.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace abg::exp {
@@ -106,6 +107,31 @@ TEST(SweepRunner, ExceptionInARunPropagates) {
   SweepConfig config;
   config.threads = 2;
   EXPECT_THROW(SweepRunner(config).run({bad}), std::invalid_argument);
+}
+
+TEST(ExecuteRun, OpenRunRejectsAReleaseSchedule) {
+  // The open axis owns its arrival process; a closed release schedule on
+  // an open spec would be silently dropped.
+  RunSpec spec;
+  spec.open.arrival = open::ArrivalKind::kPoisson;
+  spec.open.jobs_total = 20;
+  spec.machine = {.processors = 16, .quantum_length = 50};
+  spec.workload.release = ReleaseKind::kStaggered;
+  spec.workload.release_gap = 100;
+  EXPECT_THROW(execute_run(spec, 1), std::invalid_argument);
+  spec.workload.release = ReleaseKind::kBatched;
+  EXPECT_NO_THROW(execute_run(spec, 1));
+}
+
+TEST(ExecuteRun, HierFaultSpecFailsBeforeTheReferenceRun) {
+  // Rejected on entry: the fault-free reference run of a spec whose
+  // faulted replay cannot run must not execute (or publish) at all.
+  RunSpec spec = small_grid().back();
+  ASSERT_NE(spec.faults.scenario, FaultScenario::kNone);
+  spec.hier_groups = 2;
+  obs::MetricsRegistry registry;
+  EXPECT_THROW(execute_run(spec, 1, &registry), std::invalid_argument);
+  EXPECT_TRUE(registry.empty());
 }
 
 TEST(SweepRunner, ProgressReportsEveryRun) {

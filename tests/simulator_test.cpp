@@ -4,6 +4,10 @@
 
 #include <map>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "alloc/equipartition.hpp"
 #include "dag/profile_job.hpp"
@@ -327,6 +331,87 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.makespan, r2.makespan);
   EXPECT_DOUBLE_EQ(r1.mean_response_time, r2.mean_response_time);
   EXPECT_EQ(r1.total_waste, r2.total_waste);
+}
+
+// --- Composition table -----------------------------------------------------
+
+TEST(Composition, TableForbidsExactlyTheListedPairs) {
+  struct Axis {
+    bool RunAxes::*engaged;
+    const char* name;  // as the message names it
+  };
+  const std::vector<Axis> axes = {
+      {&RunAxes::async, "the async engine"},
+      {&RunAxes::faults, "fault plans"},
+      {&RunAxes::quantum_policy, "quantum-length policies"},
+      {&RunAxes::hier, "hierarchical allocation"},
+      {&RunAxes::cluster, "cluster mode"},
+      {&RunAxes::open, "open streaming"},
+      {&RunAxes::staggered_release, "non-batched release"},
+  };
+  // Indices into `axes`, smaller first.
+  const std::set<std::pair<std::size_t, std::size_t>> forbidden = {
+      {0, 3}, {1, 3}, {2, 3},          // hier
+      {0, 4}, {1, 4}, {2, 4}, {3, 4},  // cluster
+      {0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}, {5, 6},  // open
+  };
+  EXPECT_NO_THROW(check_composition(RunAxes{}, "ctx"));
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    RunAxes alone;
+    alone.*axes[a].engaged = true;
+    EXPECT_NO_THROW(check_composition(alone, "ctx")) << axes[a].name;
+    for (std::size_t b = a + 1; b < axes.size(); ++b) {
+      RunAxes pair;
+      pair.*axes[a].engaged = true;
+      pair.*axes[b].engaged = true;
+      const std::string label =
+          std::string(axes[a].name) + " + " + axes[b].name;
+      if (!forbidden.contains({a, b})) {
+        EXPECT_NO_THROW(check_composition(pair, "ctx")) << label;
+        continue;
+      }
+      try {
+        check_composition(pair, "ctx");
+        ADD_FAILURE() << label << " composed";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("ctx: ", 0), 0u) << what;
+        EXPECT_NE(what.find(axes[a].name), std::string::npos) << what;
+        EXPECT_NE(what.find(axes[b].name), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(Composition, AxesOfReadsEveryClosedAxis) {
+  EXPECT_FALSE(axes_of(SimConfig{}).async);
+  SimConfig config;
+  config.engine = EngineKind::kAsync;
+  const fault::FaultPlan plan = fault::step_failure_plan(10, 1);
+  config.faults = &plan;
+  sched::FixedQuantumLength fixed(10);
+  config.quantum_length_policy = &fixed;
+  config.hier.groups = 2;
+  config.cluster.machines = 2;
+  const RunAxes axes = axes_of(config);
+  EXPECT_TRUE(axes.async && axes.faults && axes.quantum_policy &&
+              axes.hier && axes.cluster);
+  EXPECT_FALSE(axes.open || axes.staggered_release);
+  // An empty plan is no fault axis: the engine runs the fault-free path.
+  const fault::FaultPlan empty;
+  config.faults = &empty;
+  EXPECT_FALSE(axes_of(config).faults);
+}
+
+TEST(Composition, ValidateRejectsBadMachineAndForbiddenPairs) {
+  SimConfig config = small_config();
+  EXPECT_NO_THROW(config.validate("ctx"));
+  config.quantum_length = 0;
+  EXPECT_THROW(config.validate("ctx"), std::invalid_argument);
+  config = small_config();
+  config.hier.groups = 2;
+  config.engine = EngineKind::kAsync;
+  EXPECT_THROW(config.validate("ctx"), std::invalid_argument);
 }
 
 }  // namespace

@@ -33,7 +33,8 @@
 //   --rate r [0.2]            --cost c [0]  (reallocation steps/proc)
 //   --transition C [16]       (forkjoin)
 //   --width W [10] --levels N [20000]  (constant / randomwalk)
-//   --load X [1.0] --jobs-cap N [0]    (jobset)
+//   --load X [1.0]                      (jobset)
+//   --jobs-cap N [0]   admission cap of the closed run (not --open)
 //   --trace FILE   dump the first job's per-quantum CSV
 //   --trace-out FILE    write a Chrome/Perfetto trace of the run (open in
 //                       ui.perfetto.dev): per-job quantum slices colored by
@@ -55,8 +56,9 @@
 //
 // Open-system mode (streams continuously arriving jobs through the
 // scheduler instead of simulating a closed job set; composes with
-// --scheduler / --allocator / --processors / --quantum / --cost but not
-// with faults, hierarchy, or the async engine):
+// --scheduler / --allocator / --processors / --quantum / --cost, and
+// sim::check_composition rejects the axes it excludes).  A closed-only
+// flag under --open, or one of the flags below without it, is an error:
 //   --open                switch to the streaming driver
 //   --arrival  poisson | mmpp | diurnal | heavytail | trace   [poisson]
 //   --jobs-total N        arrivals to stream                  [100000]
@@ -76,7 +78,6 @@
 #include "alloc/hesrpt.hpp"
 #include "alloc/round_robin.hpp"
 #include "alloc/unconstrained.hpp"
-#include "cluster/router.hpp"
 #include "core/run.hpp"
 #include "scenario/generators.hpp"
 #include "scenario/library.hpp"
@@ -275,6 +276,34 @@ abg::fault::FaultPlan make_fault_plan(const Cli& cli, std::uint64_t seed) {
   return plan;
 }
 
+// Flags both paths read, flags only the closed path reads and flags only
+// the open path reads.  A flag the chosen path would ignore is an error.
+const std::vector<std::string> kCommonFlags = {
+    "scenario", "scheduler", "rate", "allocator", "engine", "processors",
+    "quantum", "seed", "cost", "load", "trace-out", "metrics-out", "open"};
+const std::vector<std::string> kClosedFlags = {
+    "workload", "transition", "width", "levels", "jobs-cap", "faults",
+    "crash-policy", "policy-restart", "restart-delay", "resilience",
+    "hier-groups", "hier-alloc", "hier-rebalance", "hier-threads",
+    "cluster-machines", "router", "migration-period", "cluster-threads",
+    "trace", "report", "gantt", "compare", "profile"};
+const std::vector<std::string> kOpenFlags = {
+    "arrival", "jobs-total", "arrival-gap", "trace-path", "stats-out"};
+
+void check_flags(const Cli& cli, bool open) {
+  for (const std::string& flag : open ? kClosedFlags : kOpenFlags) {
+    if (cli.has(flag)) {
+      throw std::invalid_argument(
+          "--" + flag +
+          (open ? " does not apply to --open runs" : " requires --open"));
+    }
+  }
+  std::vector<std::string> allowed = kCommonFlags;
+  const std::vector<std::string>& own = open ? kOpenFlags : kClosedFlags;
+  allowed.insert(allowed.end(), own.begin(), own.end());
+  cli.reject_unknown(allowed);
+}
+
 // The open-system path: streams --jobs-total arrivals through the
 // scheduler and prints the constant-memory statistics summary.  Fully
 // self-contained (own bus, own outputs) because it shares no SimConfig /
@@ -284,17 +313,13 @@ int run_open_mode(const Cli& cli,
                   const abg::core::SchedulerSpec& scheduler,
                   abg::alloc::Allocator* allocator, int processors,
                   abg::dag::Steps quantum, std::uint64_t seed) {
-  for (const char* flag :
-       {"faults", "hier-groups", "cluster-machines", "compare",
-        "resilience", "gantt", "report", "trace", "profile"}) {
-    if (cli.has(flag)) {
-      throw std::invalid_argument(std::string("--") + flag +
-                                  " does not apply to --open runs");
-    }
-  }
-  if (cli.get("engine", "sync") != "sync") {
-    throw std::invalid_argument("--open requires the sync engine");
-  }
+  abg::sim::check_composition(
+      abg::sim::RunAxes{
+          .async = abg::sim::engine_kind_from_name(cli.get(
+                       "engine", "sync")) == abg::sim::EngineKind::kAsync,
+          .cluster = scenario != nullptr && scenario->cluster.machines > 0,
+          .open = true},
+      "--open run");
 
   // A scenario with an arrival block supplies arrival / jobs-total / load
   // defaults; explicit flags still win.
@@ -482,7 +507,10 @@ int main(int argc, char** argv) {
     const bool scenario_open =
         scenario != nullptr &&
         scenario->arrival.kind != abg::open::ArrivalKind::kNone;
-    if (cli.get_bool("open", false) || cli.has("arrival") || scenario_open) {
+    const bool open =
+        cli.get_bool("open", false) || cli.has("arrival") || scenario_open;
+    check_flags(cli, open);
+    if (open) {
       return run_open_mode(cli, scenario, scheduler, allocator.get(),
                            processors, quantum, seed);
     }
@@ -561,29 +589,13 @@ int main(int argc, char** argv) {
                                       " requires --cluster-machines");
         }
       }
-    } else {
-      // Validate the router name up front so a typo exits with usage
-      // instead of surfacing mid-run.
-      abg::cluster::make_router(config.cluster.router);
-      if (config.hier.groups != 0) {
-        throw std::invalid_argument(
-            "--cluster-machines does not compose with --hier-groups");
-      }
-      if (!faults.empty()) {
-        throw std::invalid_argument(
-            "--cluster-machines does not compose with --faults");
-      }
-      if (config.engine != abg::sim::EngineKind::kSync) {
-        throw std::invalid_argument(
-            "--cluster-machines requires the sync engine");
-      }
+    } else if (scenario != nullptr &&
+               static_cast<int>(scenario->cluster.shapes.size()) ==
+                   config.cluster.machines) {
       // Heterogeneous shapes from the scenario apply when the effective
-      // machine count matches the shape list.
-      if (scenario != nullptr &&
-          static_cast<int>(scenario->cluster.shapes.size()) ==
-              config.cluster.machines) {
-        config.cluster.shapes = scenario->cluster.shapes;
-      }
+      // machine count matches the shape list.  The driver checks the
+      // router name and the composition before any simulation runs.
+      config.cluster.shapes = scenario->cluster.shapes;
     }
 
     // Observability: the bus stays inactive (and the engine untouched)

@@ -98,6 +98,9 @@
 // immediately.  An interrupted sweep skips the final artifacts, prints a
 // --resume hint and exits 130.
 //
+// Every grid point is checked against sim::check_composition (the
+// composition table in docs/architecture.md) before any cell runs.
+//
 // Exit codes: 0 complete, 2 usage/config error, 3 completed with
 // quarantined cells (degraded coverage), 130 interrupted.
 //
@@ -464,163 +467,6 @@ int main(int argc, char** argv) {
         static_cast<int>(cli.get_positive_int("cluster-threads", 1));
 
     const std::vector<Dimension> dims = build_dimensions(cli);
-    bool any_open = false;
-    bool any_grid_arrival = false;
-    for (const Dimension& dim : dims) {
-      if (dim.key != "arrival") {
-        continue;
-      }
-      for (const std::string& value : dim.values) {
-        if (value != "none") {
-          any_open = true;
-          any_grid_arrival = true;
-        }
-        if (value == "trace" && trace_path.empty()) {
-          throw std::invalid_argument(
-              "--param arrival=trace requires --trace-path");
-        }
-      }
-    }
-    // A scenario file can engage the open axis on its own (its arrival
-    // block), unless the grid pins an explicit arrival dimension.
-    if (!any_grid_arrival) {
-      for (const Dimension& dim : dims) {
-        if (dim.key != "scenario") {
-          continue;
-        }
-        for (const std::string& value : dim.values) {
-          if (abg::scenario::load_cached(value).arrival.kind !=
-              abg::open::ArrivalKind::kNone) {
-            any_open = true;
-          }
-        }
-      }
-    }
-    if (any_open) {
-      // The streaming driver composes with scheduler / machine /
-      // allocator axes only; reject the rest up front with a clear
-      // message instead of quarantining every cell mid-sweep.
-      if (hier_groups > 0) {
-        throw std::invalid_argument(
-            "--hier-groups does not compose with open-system arrival "
-            "params");
-      }
-      for (const Dimension& dim : dims) {
-        for (const std::string& value : dim.values) {
-          if (dim.key == "fault" && value != "none") {
-            throw std::invalid_argument(
-                "open-system runs do not compose with fault scenarios "
-                "(drop --param fault=" + value + ")");
-          }
-          if (dim.key == "engine" && value != "sync") {
-            throw std::invalid_argument(
-                "open-system runs require the sync engine (drop --param "
-                "engine=" + value + ")");
-          }
-          if (dim.key == "release" && value != "batched") {
-            throw std::invalid_argument(
-                "open-system runs own their arrival process (drop "
-                "--param release=" + value + ")");
-          }
-        }
-      }
-    } else if (cli.has("jobs-total") || cli.has("trace-path")) {
-      throw std::invalid_argument(
-          "--jobs-total / --trace-path require an open-system arrival "
-          "param (e.g. --param arrival=poisson)");
-    }
-    if (hier_groups > 0) {
-      // The sharded engine supports neither fault plans nor the async
-      // boundary model; reject the combination up front with a clear
-      // message instead of failing mid-sweep.
-      for (const Dimension& dim : dims) {
-        for (const std::string& value : dim.values) {
-          if (dim.key == "fault" && value != "none") {
-            throw std::invalid_argument(
-                "--hier-groups: fault scenarios are not supported by the "
-                "sharded engine (drop --param fault=" + value + ")");
-          }
-          if (dim.key == "engine" && value != "sync") {
-            throw std::invalid_argument(
-                "--hier-groups requires the sync engine (drop --param "
-                "engine=" + value + ")");
-          }
-        }
-      }
-    }
-
-    // Cluster detection mirrors the open-axis scan: an explicit
-    // cluster-machines dimension, or a scenario whose cluster block
-    // engages the engine on its own (unless the grid pins the dimension).
-    bool any_cluster = false;
-    bool has_cluster_dim = false;
-    bool has_router_dim = false;
-    for (const Dimension& dim : dims) {
-      if (dim.key == "router") {
-        has_router_dim = true;
-      }
-      if (dim.key != "cluster-machines") {
-        continue;
-      }
-      has_cluster_dim = true;
-      for (const std::string& value : dim.values) {
-        if (value != "0") {
-          any_cluster = true;
-        }
-      }
-    }
-    if (!has_cluster_dim) {
-      for (const Dimension& dim : dims) {
-        if (dim.key != "scenario") {
-          continue;
-        }
-        for (const std::string& value : dim.values) {
-          if (abg::scenario::load_cached(value).cluster.machines > 0) {
-            any_cluster = true;
-          }
-        }
-      }
-    }
-    if (has_router_dim && !any_cluster) {
-      throw std::invalid_argument(
-          "--param router requires a cluster axis (add --param "
-          "cluster-machines=N)");
-    }
-    if ((cli.has("migration-period") || cli.has("cluster-threads")) &&
-        !any_cluster) {
-      throw std::invalid_argument(
-          "--migration-period / --cluster-threads require a cluster axis "
-          "(add --param cluster-machines=N)");
-    }
-    if (any_cluster) {
-      // The cluster driver composes with scheduler / allocator / machine
-      // params only; reject the rest up front with actionable messages
-      // instead of quarantining every cell mid-sweep.
-      if (any_open) {
-        throw std::invalid_argument(
-            "cluster runs do not compose with open-system arrival params "
-            "(drop --param arrival=... or --param cluster-machines=...)");
-      }
-      if (hier_groups > 0) {
-        throw std::invalid_argument(
-            "--hier-groups does not compose with the cluster axes (drop "
-            "--hier-groups or --param cluster-machines=...)");
-      }
-      for (const Dimension& dim : dims) {
-        for (const std::string& value : dim.values) {
-          if (dim.key == "fault" && value != "none") {
-            throw std::invalid_argument(
-                "cluster runs do not compose with fault scenarios (drop "
-                "--param fault=" + value + ")");
-          }
-          if (dim.key == "engine" && value != "sync") {
-            throw std::invalid_argument(
-                "cluster runs require the sync engine (drop --param "
-                "engine=" + value + ")");
-          }
-        }
-      }
-    }
 
     // Odometer over the dimensions, last dimension fastest.  The workload
     // seed index enumerates only workload-shaping dimensions, so scheduler
@@ -632,6 +478,8 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<RunSpec> specs;
+    bool any_open = false;
+    bool any_cluster = false;
     std::vector<std::size_t> odometer(dims.size(), 0);
     for (;;) {
       std::map<std::string, std::string> point;
@@ -663,6 +511,18 @@ int main(int argc, char** argv) {
           base.open.trace_path = trace_path;
         }
       }
+      // Every grid point meets the composition table before any cell
+      // runs, so a contradictory grid dies up front instead of
+      // quarantining its cells mid-sweep.
+      const abg::sim::RunAxes axes = abg::exp::axes_of(base);
+      abg::sim::check_composition(axes, "grid point " + base.group);
+      any_open = any_open || axes.open;
+      any_cluster = any_cluster || axes.cluster;
+      if (base.open.arrival == abg::open::ArrivalKind::kTrace &&
+          base.open.trace_path.empty()) {
+        throw std::invalid_argument(
+            "--param arrival=trace requires --trace-path");
+      }
       for (int rep = 0; rep < reps; ++rep) {
         RunSpec spec = base;
         spec.seed_index = static_cast<std::uint64_t>(rep) * workload_points +
@@ -681,6 +541,25 @@ int main(int argc, char** argv) {
       if (dims.empty() || wrapped) {
         break;
       }
+    }
+    if (!any_open && (cli.has("jobs-total") || cli.has("trace-path"))) {
+      throw std::invalid_argument(
+          "--jobs-total / --trace-path require an open-system arrival "
+          "param (e.g. --param arrival=poisson)");
+    }
+    const bool has_router_dim =
+        std::any_of(dims.begin(), dims.end(),
+                    [](const Dimension& dim) { return dim.key == "router"; });
+    if (has_router_dim && !any_cluster) {
+      throw std::invalid_argument(
+          "--param router requires a cluster axis (add --param "
+          "cluster-machines=N)");
+    }
+    if ((cli.has("migration-period") || cli.has("cluster-threads")) &&
+        !any_cluster) {
+      throw std::invalid_argument(
+          "--migration-period / --cluster-threads require a cluster axis "
+          "(add --param cluster-machines=N)");
     }
 
     // Undocumented fixture hooks: make run ID hang until cancelled /
