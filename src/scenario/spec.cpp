@@ -586,6 +586,12 @@ void ScenarioSpec::validate() const {
                      std::to_string(machine_shape.processors) + ")");
     }
   }
+  // Which blocks may share a file is the composition table's decision:
+  // asking it here rejects the file at load for every consumer.
+  sim::check_composition(
+      sim::RunAxes{.cluster = cluster.machines > 0,
+                   .open = arrival.kind != open::ArrivalKind::kNone},
+      "scenario '" + name + "'");
   if (generator != GeneratorKind::kExplicit && jobs < 1) {
     bad("document", "'jobs' must be >= 1");
   }

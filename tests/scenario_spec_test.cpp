@@ -178,6 +178,23 @@ TEST(ScenarioSpecValidate, RejectsStructuralViolations) {
                std::invalid_argument);
 }
 
+TEST(ScenarioSpecValidate, RejectsArrivalWithClusterViaCompositionTable) {
+  // No driver streams arrivals into a cluster; the file is rejected at
+  // load with the composition table's message, not run with one block
+  // dropped.
+  try {
+    parse(R"({"name": "both", "generator": "multiphase", "jobs": 1,
+        "arrival": {"kind": "poisson", "jobs_total": 50, "load": 0.7},
+        "cluster": {"machines": 2},
+        "params": {"phases": [{"width": 4, "levels": 50}]}})");
+    FAIL() << "arrival + cluster must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "scenario 'both': open streaming does not compose with "
+                 "cluster mode");
+  }
+}
+
 TEST(ScenarioSpecRoundTrip, ToJsonFromJsonIsExact) {
   const ScenarioSpec spec = parse(R"({
     "name": "round",
