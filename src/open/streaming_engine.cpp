@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "dag/profile_job.hpp"
 #include "obs/event_bus.hpp"
-#include "sim/quantum_engine.hpp"
-#include "sim/quantum_eval.hpp"
+#include "sim/engine_core.hpp"
 #include "workload/profiles.hpp"
 
 namespace abg::open {
@@ -43,22 +43,6 @@ double mean_work_scale(ArrivalKind kind, const ArrivalConfig& config) {
          (1.0 - std::pow(cap, -a));
 }
 
-/// One recyclable runtime slot.  The pool never exceeds max_active slots;
-/// a slot's job DAG is destroyed the moment the job completes and the
-/// request-policy clone is reset for the next tenant instead of re-cloned.
-struct Slot {
-  std::unique_ptr<dag::Job> job;
-  std::unique_ptr<sched::RequestPolicy> request;
-  /// Global arrival index of the current tenant (-1 when free).
-  std::int64_t index = -1;
-  dag::Steps release = 0;
-  dag::TaskCount waste = 0;
-  int desire = 0;
-  int previous_allotment = 0;
-  std::int64_t local_quantum = 0;
-  bool active = false;
-};
-
 /// A released arrival waiting for admission (the backlog element).
 struct Pending {
   dag::Steps release = 0;
@@ -76,18 +60,42 @@ void publish_arrival(obs::EventBus* bus, const Pending& pending,
   bus->publish(e);
 }
 
-void publish_departure(obs::EventBus* bus, std::int64_t job,
-                       dag::Steps completion, dag::Steps response,
-                       dag::TaskCount work, std::int64_t in_system) {
-  obs::Event e;
-  e.kind = obs::EventKind::kOpenDeparture;
-  e.step = completion;
-  e.job = job;
-  e.response = response;
-  e.work = work;
-  e.in_system = in_system;
-  bus->publish(e);
-}
+/// Passes the loop's events on to the run's bus and follows each
+/// kJobComplete with the job's kOpenDeparture, so a departure is published
+/// exactly where its job leaves the loop.
+class DepartureTap final : public obs::Sink {
+ public:
+  DepartureTap(obs::EventBus* out, const std::deque<Pending>& backlog)
+      : out_(out), backlog_(&backlog) {}
+
+  /// The loop whose completions are followed; set once it is built.
+  const sim::QuantumLoop* loop = nullptr;
+
+  void on_event(const obs::Event& event) override {
+    out_->publish(event);
+    if (event.kind != obs::EventKind::kJobComplete) {
+      return;
+    }
+    const sim::JobBatch& slots = loop->batch;
+    const auto slot = static_cast<std::size_t>(
+        std::find(slots.id.begin(), slots.id.end(), event.job) -
+        slots.id.begin());
+    const sim::JobRuntime& tenant = slots.jobs[slot];
+    obs::Event e;
+    e.kind = obs::EventKind::kOpenDeparture;
+    e.step = event.step;
+    e.job = event.job;
+    e.response = event.step - tenant.trace.release_step;
+    e.work = tenant.job->completed_work();
+    e.in_system =
+        static_cast<std::int64_t>(loop->remaining + backlog_->size());
+    out_->publish(e);
+  }
+
+ private:
+  obs::EventBus* out_;
+  const std::deque<Pending>* backlog_;
+};
 
 }  // namespace
 
@@ -207,57 +215,59 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
     bus->publish(start);
   }
 
-  std::vector<Slot> slots;
-  slots.reserve(max_active);
-  std::vector<std::size_t> free_slots;
+  // The loop's batch is the slot pool: at most max_active slots, appended
+  // on demand and refilled in place.  The driver polls cancellation and
+  // checks its own growing safety bound, so the loop gets neither.
   std::deque<Pending> backlog;
-  std::vector<int> requests;
-  std::vector<std::size_t> active_idx;
-  std::vector<std::pair<std::size_t, sched::QuantumStats>> feedback;
+  std::vector<std::size_t> free_slots;
+  sim::CoreConfig core;
+  core.context = "run_stream";
+  core.processors = config.processors;
+  core.quantum_length = length;
+  core.max_steps = std::numeric_limits<dag::Steps>::max();
+  core.max_active = max_active;
+  core.reallocation_cost_per_proc = config.reallocation_cost_per_proc;
+  obs::EventBus loop_bus;
+  DepartureTap tap(bus, backlog);
+  if (bus != nullptr) {
+    loop_bus.subscribe(&tap);
+    core.bus = &loop_bus;
+  }
+  sim::QuantumLoop loop(sim::JobBatch{}, 0, execution, allocator, core);
+  tap.loop = &loop;
+  sim::JobBatch& slots = loop.batch;
 
   std::int64_t generated = 0;
   bool have_peek = false;
   Arrival peek;
   dag::Steps latest_release = 0;
   dag::TaskCount admitted_work = 0;
-  std::size_t active_count = 0;
-  dag::Steps now = 0;
 
   auto in_system = [&]() {
-    return static_cast<std::int64_t>(active_count + backlog.size());
+    return static_cast<std::int64_t>(loop.remaining + backlog.size());
   };
 
-  // Folds a finished job into the statistics and recycles its slot.
-  auto retire = [&](std::size_t slot_index, dag::Steps completion) {
-    Slot& slot = slots[slot_index];
-    const dag::TaskCount work = slot.job->completed_work();
-    result.stats.record_completion(slot.release, completion,
-                                   slot.job->critical_path(), work,
-                                   slot.waste);
+  // Folds a finished job into the statistics, frees its DAG and recycles
+  // its slot.
+  auto retire = [&](std::size_t slot) {
+    sim::JobRuntime& tenant = slots.jobs[slot];
+    const sim::JobTrace& trace = tenant.trace;
+    const dag::TaskCount work = tenant.job->completed_work();
+    const dag::TaskCount waste = trace.total_waste();
+    result.stats.record_completion(trace.release_step, trace.completion_step,
+                                   trace.critical_path, work, waste);
     result.total_work += work;
-    result.total_waste += slot.waste;
-    result.makespan = std::max(result.makespan, completion);
+    result.total_waste += waste;
+    result.makespan = std::max(result.makespan, trace.completion_step);
     ++result.completed;
-    const std::int64_t job_index = slot.index;
-    const dag::Steps response = completion - slot.release;
-    slot.job.reset();
-    slot.active = false;
-    slot.index = -1;
-    --active_count;
-    free_slots.push_back(slot_index);
-    if (bus != nullptr) {
-      obs::Event e;
-      e.kind = obs::EventKind::kJobComplete;
-      e.step = completion;
-      e.job = job_index;
-      bus->publish(e);
-      publish_departure(bus, job_index, completion, response, work,
-                        in_system());
-    }
+    tenant.owned_job.reset();
+    tenant.job = nullptr;
+    free_slots.push_back(slot);
   };
 
   while (result.completed < config.jobs_total) {
     util::throw_if_cancelled(config.cancel, "run_stream");
+    const dag::Steps now = loop.now;
 
     // Materialize every arrival released by this boundary.  Only one
     // undrawn arrival is ever peeked ahead, so memory tracks the backlog,
@@ -283,48 +293,27 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
 
     // FCFS admission into recycled slots, up to the cap.  The backlog is
     // release-ordered because arrival streams are monotone.
-    while (active_count < max_active && !backlog.empty()) {
+    while (loop.remaining < max_active && !backlog.empty()) {
       const Pending pending = backlog.front();
       backlog.pop_front();
-      std::size_t slot_index;
+      std::size_t slot = slots.size();
       if (!free_slots.empty()) {
-        slot_index = free_slots.back();
+        slot = free_slots.back();
         free_slots.pop_back();
-      } else {
-        slot_index = slots.size();
-        slots.emplace_back();
-        slots[slot_index].request = request_prototype.clone();
       }
-      Slot& slot = slots[slot_index];
       util::Rng job_rng = util::Rng::derive(
           job_seed_base, static_cast<std::uint64_t>(pending.index));
-      slot.job =
+      std::unique_ptr<dag::Job> job =
           factory(job_rng, Arrival{pending.release, pending.work_scale});
-      if (slot.job == nullptr) {
+      if (job == nullptr) {
         throw std::logic_error("run_stream: job factory returned null");
       }
-      slot.index = pending.index;
-      slot.release = pending.release;
-      slot.waste = 0;
-      slot.previous_allotment = 0;
-      slot.local_quantum = 0;
-      slot.request->reset();
-      slot.desire = slot.request->first_request();
-      slot.active = true;
-      ++active_count;
       ++result.admitted;
-      admitted_work += slot.job->total_work();
-      if (bus != nullptr) {
-        obs::Event e;
-        e.kind = obs::EventKind::kJobAdmit;
-        e.step = now;
-        e.job = pending.index;
-        e.desire = slot.desire;
-        bus->publish(e);
-      }
-      if (slot.job->finished()) {
-        // A zero-work job completes the instant it is admitted.
-        retire(slot_index, now);
+      admitted_work += job->total_work();
+      loop.refill(slot, std::move(job), pending.index, pending.release,
+                  request_prototype);
+      if (slots.done(slot)) {
+        retire(slot);  // a job with no work finishes as it enters
       }
     }
 
@@ -335,7 +324,7 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
             ? config.max_steps
             : latest_release + 8 * admitted_work + 64 * length;
 
-    if (active_count == 0) {
+    if (loop.remaining == 0) {
       if (result.completed == config.jobs_total) {
         break;
       }
@@ -343,94 +332,30 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
       // to the next release.
       const dag::Steps next_release = have_peek ? peek.release : bound;
       const dag::Steps gap = next_release > now ? next_release - now : 0;
-      now += std::max<dag::Steps>(1, gap / length) * length;
-      if (now >= bound) {
+      loop.now += std::max<dag::Steps>(1, gap / length) * length;
+      if (loop.now >= bound) {
         throw std::runtime_error("run_stream: exceeded step bound");
       }
       continue;
     }
 
     result.stats.record_queue_depth(now, in_system());
-
-    ++result.quanta;
-    requests.assign(slots.size(), 0);
-    active_idx.clear();
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].active) {
-        requests[i] = slots[i].desire;
-        active_idx.push_back(i);
+    const std::size_t running = loop.remaining;
+    loop.advance(now + length, config.processors);
+    if (loop.remaining < running) {
+      for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+        if (slots.done(slot) && slots.jobs[slot].job != nullptr) {
+          retire(slot);
+        }
       }
     }
-    const int pool = allocator.pool(config.processors);
-    std::vector<int> allotments;
-    if (allocator.size_aware()) {
-      std::vector<double> remaining(slots.size(), 0.0);
-      for (const std::size_t i : active_idx) {
-        remaining[i] = static_cast<double>(slots[i].job->total_work() -
-                                           slots[i].job->completed_work());
-      }
-      allotments =
-          allocator.allocate_sized(requests, remaining, config.processors);
-    } else {
-      allotments = allocator.allocate(requests, config.processors);
-    }
-    int assigned = 0;
-    for (const int a : allotments) {
-      assigned += a;
-    }
-    const int leftover = std::max(0, pool - assigned);
-    if (bus != nullptr) {
-      obs::Event e;
-      e.kind = obs::EventKind::kAllocation;
-      e.step = now;
-      e.pool = pool;
-      e.assigned = assigned;
-      e.active_jobs = static_cast<std::int64_t>(active_idx.size());
-      bus->publish(e);
-    }
-
-    feedback.clear();
-    for (const std::size_t i : active_idx) {
-      Slot& slot = slots[i];
-      const int allotment = allotments[i];
-      ++slot.local_quantum;
-      const dag::Steps penalty = sim::reallocation_penalty(
-          slot.previous_allotment, allotment,
-          config.reallocation_cost_per_proc, length);
-      slot.previous_allotment = allotment;
-      const sched::QuantumStats stats = sim::quantum_eval::run_allotted_quantum(
-          *slot.job, execution, slot.local_quantum, slot.desire, allotment,
-          length, penalty, leftover, now);
-      slot.waste += stats.waste();
-      if (bus != nullptr) {
-        obs::Event e;
-        e.kind = obs::EventKind::kQuantum;
-        e.step = stats.start_step;
-        e.job = slot.index;
-        e.stats = &stats;
-        bus->publish(e);
-      }
-      if (stats.finished) {
-        retire(i, now + stats.steps_used);
-      } else {
-        feedback.emplace_back(i, stats);
-      }
-    }
-
-    now += length;
-    if (result.completed < config.jobs_total && now >= bound) {
+    if (result.completed < config.jobs_total && loop.now >= bound) {
       throw std::runtime_error(
           "run_stream: exceeded step bound; open stream is not making "
           "progress");
     }
-    // Quantum-boundary feedback, deferred past the bound check like the
-    // closed engines so a stalled run throws before touching the request
-    // policies again.
-    for (const auto& [slot_index, stats] : feedback) {
-      Slot& slot = slots[slot_index];
-      slot.desire = slot.request->next_request(stats);
-    }
   }
+  result.quanta = loop.quanta;
 
   if (bus != nullptr) {
     obs::Event summary;
@@ -441,12 +366,8 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
     summary.open_high_water = result.in_system_high_water;
     summary.open_stats_merges = result.stats.merges();
     bus->publish(summary);
-    obs::Event end;
-    end.kind = obs::EventKind::kRunEnd;
-    end.step = result.makespan;
-    end.makespan = result.makespan;
-    bus->publish(end);
   }
+  sim::publish_run_end(bus, result.makespan);
   return result;
 }
 

@@ -4,10 +4,13 @@
 // The closed engines (sim/engine_core.hpp) materialize every submission
 // up front, keep one JobRuntime per submitted job for the whole run, and
 // retain every JobTrace in the result — all O(total jobs).  The streaming
-// driver keeps the same per-boundary discipline as sim::QuantumLoop
-// (admit FCFS up to the cap, allocate once over the active requests, run
-// each active job one quantum, feed completed stats to the request
-// policies) but bounds memory by the number of jobs *in the system*:
+// driver is a source of arrivals over the same sim::QuantumLoop: the
+// loop's batch is a pool of recycled slots, and each busy boundary the
+// driver refills free slots with admitted arrivals and advances the loop
+// one quantum at budget P.  Allocation, the quantum itself, penalties and
+// request feedback are the loop's; the driver owns arrivals, the FCFS
+// backlog, the safety bound and the statistics, and bounds memory by the
+// number of jobs *in the system*:
 //
 //   * Arrivals are generated lazily from an ArrivalProcess — only the
 //     next undrawn arrival and a backlog of released-but-waiting stubs
@@ -16,10 +19,11 @@
 //     (load > 1) it grows without bound, which is queueing reality, not
 //     a leak.
 //   * Jobs are built (by the job factory, from the per-job stream
-//     Rng::derive(run seed, job index)) only at admission, and their
-//     runtime slots — job DAG, request-policy clone, accumulators — are
-//     recycled through a free list the moment they complete.  At most
-//     max_active slots ever exist.
+//     Rng::derive(run seed, job index)) only at admission, into a loop
+//     slot.  A finished job's DAG is freed at once, and its slot —
+//     request-policy clone, lanes, trace (cleared) — is refilled in place
+//     by a later admission through a free list.  At most max_active slots
+//     ever exist.
 //   * Completed jobs fold into open::OnlineStats (constant memory)
 //     instead of accumulating traces; the result carries aggregates and
 //     percentile estimates only.

@@ -79,21 +79,21 @@ void publish_intake(obs::EventBus* bus, int processors,
   }
 }
 
-void publish_quantum(obs::EventBus* bus, std::size_t job,
+void publish_quantum(obs::EventBus* bus, std::int64_t job,
                      const sched::QuantumStats& stats) {
   obs::Event e;
   e.kind = obs::EventKind::kQuantum;
   e.step = stats.start_step;
-  e.job = static_cast<std::int64_t>(job);
+  e.job = job;
   e.stats = &stats;
   bus->publish(e);
 }
 
-void publish_complete(obs::EventBus* bus, std::size_t job, dag::Steps step) {
+void publish_complete(obs::EventBus* bus, std::int64_t job, dag::Steps step) {
   obs::Event e;
   e.kind = obs::EventKind::kJobComplete;
   e.step = step;
-  e.job = static_cast<std::int64_t>(job);
+  e.job = job;
   bus->publish(e);
 }
 
@@ -126,12 +126,12 @@ std::vector<const JobTrace*> traces_of(const JobBatch& batch) {
   return traces;
 }
 
-void publish_admit(obs::EventBus* bus, std::size_t job, dag::Steps now,
+void publish_admit(obs::EventBus* bus, std::int64_t job, dag::Steps now,
                    int desire) {
   obs::Event e;
   e.kind = obs::EventKind::kJobAdmit;
   e.step = now;
-  e.job = static_cast<std::int64_t>(job);
+  e.job = job;
   e.desire = desire;
   bus->publish(e);
 }
@@ -150,12 +150,12 @@ void publish_allocation(obs::EventBus* bus, dag::Steps now, int pool,
   bus->publish(e);
 }
 
-void publish_crash(obs::EventBus* bus, std::size_t job, dag::Steps now,
+void publish_crash(obs::EventBus* bus, std::int64_t job, dag::Steps now,
                    const fault::CrashRecord& record, dag::Steps restart_step) {
   obs::Event e;
   e.kind = obs::EventKind::kJobCrash;
   e.step = now;
-  e.job = static_cast<std::int64_t>(job);
+  e.job = job;
   e.lost_work = record.lost_work;
   e.restart_step = restart_step;
   bus->publish(e);
@@ -324,6 +324,55 @@ int QuantumLoop::aggregated_desire(dag::Steps horizon) const {
   return desire;
 }
 
+void QuantumLoop::refill(std::size_t slot, std::unique_ptr<dag::Job> job,
+                         std::int64_t id, dag::Steps release,
+                         const sched::RequestPolicy& request_prototype) {
+  assert(slot == batch.size() || batch.done(slot));
+  if (slot == batch.size()) {
+    JobRuntime runtime;
+    runtime.owned_request = request_prototype.clone();
+    runtime.request = runtime.owned_request.get();
+    batch.append(std::move(runtime));
+  }
+  JobRuntime& st = batch.jobs[slot];
+  st.owned_job = std::move(job);
+  st.job = st.owned_job.get();
+  st.request->reset();
+  st.local_quantum = 0;
+  st.resumed = false;
+  st.trace.quanta.clear();
+  st.trace.release_step = release;
+  st.trace.work = st.job->total_work();
+  st.trace.critical_path = st.job->critical_path();
+  st.trace.completion_step = -1;
+  batch.previous_allotment[slot] = 0;
+  batch.eligible_step[slot] = release;
+  batch.id[slot] = id;
+  admit(slot);
+  if (st.job->finished()) {
+    st.trace.completion_step = now;
+    batch.regime[slot] = JobRegime::kDone;
+    if (bus_ != nullptr) {
+      publish_complete(bus_, id, now);
+    }
+  } else {
+    ++remaining;
+  }
+}
+
+void QuantumLoop::admit(std::size_t i) {
+  JobRuntime& st = batch.jobs[i];
+  batch.regime[i] = JobRegime::kActive;
+  if (st.resumed) {
+    st.resumed = false;  // keep the preserved desire
+  } else {
+    batch.desire[i] = st.request->first_request();
+  }
+  if (bus_ != nullptr) {
+    publish_admit(bus_, batch.id[i], now, batch.desire[i]);
+  }
+}
+
 SimResult QuantumLoop::run() {
   if (bus_ != nullptr) {
     publish_intake(bus_, config_.processors, config_.quantum_length,
@@ -375,16 +424,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
       if (best == batch.size()) {
         break;
       }
-      JobRuntime& st = batch.jobs[best];
-      batch.regime[best] = JobRegime::kActive;
-      if (st.resumed) {
-        st.resumed = false;  // keep the preserved desire
-      } else {
-        batch.desire[best] = st.request->first_request();
-      }
-      if (bus != nullptr) {
-        publish_admit(bus, best, now, batch.desire[best]);
-      }
+      admit(best);
       ++active_count;
     }
     // One request slot per submitted job, in stable submission order:
@@ -483,7 +523,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         stats.length = length;
         st.trace.quanta.push_back(stats);
         if (bus != nullptr) {
-          publish_quantum(bus, i, stats);
+          publish_quantum(bus, batch.id[i], stats);
         }
         if (config_.quantum_length_policy != nullptr) {
           ++qlen_count;
@@ -516,7 +556,8 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         batch.regime[i] = JobRegime::kQueued;
         batch.eligible_step[i] = now + length + config_.faults->restart_delay;
         if (bus != nullptr) {
-          publish_crash(bus, i, now, record, batch.eligible_step[i]);
+          publish_crash(bus, batch.id[i], now, record,
+                        batch.eligible_step[i]);
         }
         continue;
       }
@@ -531,7 +572,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
       const std::size_t slot = batch.stage_quantum(i, stats);
       executed_work += stats.work;
       if (bus != nullptr) {
-        publish_quantum(bus, i, stats);
+        publish_quantum(bus, batch.id[i], stats);
       }
       if (config_.quantum_length_policy != nullptr) {
         ++qlen_count;
@@ -548,7 +589,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         batch.regime[i] = JobRegime::kDone;
         --remaining;
         if (bus != nullptr) {
-          publish_complete(bus, i, st.trace.completion_step);
+          publish_complete(bus, batch.id[i], st.trace.completion_step);
         }
       } else {
         feedback_.emplace_back(i, slot);
@@ -719,7 +760,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
           batch.staged_mutable(slot).steps_used = st.quantum_elapsed;
           batch.staged_mutable(slot).full = false;
           if (bus != nullptr) {
-            publish_quantum(bus, j, batch.staged(slot));
+            publish_quantum(bus, batch.id[j], batch.staged(slot));
           }
         } else {
           // Restart from scratch: the whole trace so far, including the
@@ -748,7 +789,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
         st.migration_debt = 0;
         batch.eligible_step[j] = now + 1 + config.faults->restart_delay;
         if (bus != nullptr) {
-          publish_crash(bus, j, now, record, batch.eligible_step[j]);
+          publish_crash(bus, batch.id[j], now, record, batch.eligible_step[j]);
         }
         partition_dirty = true;
       }
@@ -777,7 +818,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
       }
       begin_quantum(st);
       if (bus != nullptr) {
-        publish_admit(bus, best, now, batch.desire[best]);
+        publish_admit(bus, batch.id[best], now, batch.desire[best]);
       }
       partition_dirty = true;
       ++active_count;
@@ -966,8 +1007,8 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
         batch.regime[i] = JobRegime::kDone;
         --remaining;
         if (bus != nullptr) {
-          publish_quantum(bus, i, batch.staged(slot));
-          publish_complete(bus, i, now);
+          publish_quantum(bus, batch.id[i], batch.staged(slot));
+          publish_complete(bus, batch.id[i], now);
         }
         partition_dirty = true;
         continue;
@@ -975,7 +1016,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
       if (st.quantum_elapsed == st.quantum_target) {
         const std::size_t slot = finalize_quantum(i, /*finished=*/false);
         if (bus != nullptr) {
-          publish_quantum(bus, i, batch.staged(slot));
+          publish_quantum(bus, batch.id[i], batch.staged(slot));
         }
         batch.desire[i] = st.request->next_request(batch.staged(slot));
         if (st.quantum_policy) {

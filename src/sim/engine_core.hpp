@@ -1,6 +1,6 @@
 // Unified event-driven simulation core.
 //
-// Two loops drive every closed simulation in this library:
+// Two loops drive every simulation in this library:
 //
 //   * QuantumLoop — the synchronous two-level feedback loop.  All jobs of
 //     its batch share quantum boundaries.  Per boundary: consume the
@@ -19,6 +19,10 @@
 //         above (sim/partitioned_driver.hpp).  They run without fault
 //         plans, quantum-length policies, event bus or cancel token; the
 //         tier driver publishes and polls on the coordinator thread.
+//       - The open streaming driver (open/streaming_engine.hpp) is one
+//         loop whose batch is its recycled slot pool: it refills finished
+//         slots with admitted arrivals (refill) and advances one quantum
+//         per busy boundary at budget P.
 //
 //   * run_per_job_quanta — each job's quanta are counted from its own
 //     admission; the machine is re-partitioned over the active jobs'
@@ -42,8 +46,6 @@
 // state, capacity churn via FaultyAllocator), size-aware allocation
 // (remaining work for allocators such as heSRPT), per-quantum accounting
 // (T1(q), T∞(q), waste, availability) and JobTrace/QuantumStats emission.
-// The open streaming driver (open/streaming_engine.hpp) keeps its own
-// trace-free variant of the synchronous loop over recycled slots.
 //
 // Regression contract: the wrappers produce byte-identical traces,
 // metrics and exception messages across refactors (tests/golden pins
@@ -141,6 +143,17 @@ class QuantumLoop {
   /// whole quanta.
   void advance(dag::Steps horizon, int budget);
 
+  /// Starts job `id`, released at `release`, in `slot` and admits it at
+  /// the loop's clock; the caller keeps the FCFS queue and the admission
+  /// cap.  `slot` is a finished slot, reused in place: its lanes are reset
+  /// as by JobBatch::append, its request-policy clone is reset, and its
+  /// trace is cleared (capacity kept) and re-seeded as intake seeds it.
+  /// Or `slot` is batch.size(), which appends a slot holding a clone of
+  /// `request_prototype`.  A job with no work finishes as it is admitted.
+  void refill(std::size_t slot, std::unique_ptr<dag::Job> job,
+              std::int64_t id, dag::Steps release,
+              const sched::RequestPolicy& request_prototype);
+
   /// The flat run: publishes intake, advances to an unbounded horizon at
   /// budget config.processors and returns the traces in slot order with
   /// the aggregates and the fault log.
@@ -165,6 +178,9 @@ class QuantumLoop {
   dag::TaskCount allotted_cycles = 0;
 
  private:
+  /// Activates queued slot `i` with its first (or preserved) desire.
+  void admit(std::size_t i);
+
   CoreConfig config_;
   const sched::ExecutionPolicy* execution_;
   alloc::Allocator* allocator_;
@@ -207,9 +223,9 @@ void publish_intake(obs::EventBus* bus, int processors,
                     dag::Steps quantum_length,
                     const std::vector<const JobTrace*>& traces);
 /// One quantum record, exactly as it entered the trace.
-void publish_quantum(obs::EventBus* bus, std::size_t job,
+void publish_quantum(obs::EventBus* bus, std::int64_t job,
                      const sched::QuantumStats& stats);
-void publish_complete(obs::EventBus* bus, std::size_t job, dag::Steps step);
+void publish_complete(obs::EventBus* bus, std::int64_t job, dag::Steps step);
 void publish_run_end(obs::EventBus* bus, dag::Steps makespan);
 
 /// Derives a result's makespan, mean response time and total waste from

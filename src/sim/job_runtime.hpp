@@ -141,6 +141,9 @@ struct JobBatch {
   /// after a crash the end of the crash quantum plus the restart delay.
   std::vector<dag::Steps> eligible_step;
   std::vector<JobRegime> regime;
+  /// Id the loop's events name the job by: the slot index as appended,
+  /// or the tenant's arrival index once an open stream refills the slot.
+  std::vector<std::int64_t> id;
   std::vector<JobRuntime> jobs;
 
   std::size_t size() const { return jobs.size(); }
@@ -149,7 +152,7 @@ struct JobBatch {
   bool done(std::size_t i) const { return regime[i] == JobRegime::kDone; }
 
   /// Appends one slot with default lanes (desire 1, no allotment,
-  /// eligible at step 0, queued) and returns its index.
+  /// eligible at step 0, queued, id = its index) and returns its index.
   std::size_t append(JobRuntime runtime) {
     jobs.push_back(std::move(runtime));
     desire.push_back(1);
@@ -157,6 +160,7 @@ struct JobBatch {
     previous_allotment.push_back(0);
     eligible_step.push_back(0);
     regime.push_back(JobRegime::kQueued);
+    id.push_back(static_cast<std::int64_t>(jobs.size() - 1));
     return jobs.size() - 1;
   }
 

@@ -48,10 +48,11 @@ void publish_outcome(obs::EventBus& bus, const PartitionedRun& run,
                      const std::vector<Partition>& parts,
                      const SimResult& result) {
   for (std::size_t j = 0; j < result.jobs.size(); ++j) {
+    const auto job = static_cast<std::int64_t>(j);
     for (const sched::QuantumStats& stats : result.jobs[j].quanta) {
-      publish_quantum(&bus, j, stats);
+      publish_quantum(&bus, job, stats);
     }
-    publish_complete(&bus, j, result.jobs[j].completion_step);
+    publish_complete(&bus, job, result.jobs[j].completion_step);
   }
   if (run.publish_summary) {
     run.publish_summary(bus, parts);

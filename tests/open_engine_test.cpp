@@ -8,10 +8,12 @@
 
 #include "alloc/equipartition.hpp"
 #include "core/run.hpp"
+#include "dag/profile_job.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_sink.hpp"
 #include "util/cancel.hpp"
+#include "workload/profiles.hpp"
 
 namespace abg::open {
 namespace {
@@ -121,6 +123,37 @@ TEST(OpenEngine, PublishesOpenEventsAndCounters) {
   EXPECT_EQ(registry.counter("open.stats_merges").value(), 0);
   EXPECT_DOUBLE_EQ(registry.gauge("open.in_system_high_water").value(),
                    static_cast<double>(result.in_system_high_water));
+}
+
+TEST(OpenEngine, ZeroWorkArrivalsDepartAsTheyAreAdmitted) {
+  // Every other arrival has no work: it is admitted, completes and
+  // departs in the same boundary without running a quantum or holding
+  // its slot.
+  obs::EventBus bus;
+  obs::MetricsRegistry registry;
+  obs::MetricsSink sink(registry);
+  bus.subscribe(&sink);
+  OpenConfig config = small_config();
+  config.jobs_total = 40;
+  config.load = 0.0;
+  config.arrivals.mean_gap = 30.0;
+  config.bus = &bus;
+  int built = 0;
+  const JobFactory factory = [&built](util::Rng&, const Arrival&) {
+    return std::make_unique<dag::ProfileJob>(
+        built++ % 2 == 0 ? std::vector<dag::TaskCount>{}
+                         : workload::constant_profile(4, 120));
+  };
+  const core::SchedulerSpec spec = core::abg_spec();
+  alloc::EquiPartition allocator;
+  const OpenResult result = run_stream(*spec.execution, *spec.request,
+                                       factory, allocator, config, 3);
+  EXPECT_EQ(result.completed, 40);
+  EXPECT_EQ(result.total_work, 20 * 4 * 120);
+  EXPECT_EQ(registry.counter("sim.admissions").value(), 40);
+  EXPECT_EQ(registry.counter("sim.completions").value(), 40);
+  EXPECT_EQ(registry.counter("open.completed").value(), 40);
+  EXPECT_GE(result.stats.response().min(), 0.0);
 }
 
 TEST(OpenEngine, AdmissionCapBoundsActiveJobs) {
