@@ -203,9 +203,7 @@ class TraceArrivals final : public ArrivalProcess {
             "(entry " +
             std::to_string(i) + ")");
       }
-      if (!(a.work_scale > 0.0) ||
-          !(a.work_scale <= 1e9) ||
-          std::isnan(a.work_scale)) {
+      if (!(a.work_scale > 0.0 && a.work_scale <= 1e9)) {  // NaN fails too
         throw std::invalid_argument(
             "TraceArrivals: work_scale must be in (0, 1e9] at entry " +
             std::to_string(i));
