@@ -1,21 +1,8 @@
 #include "alloc/equipartition.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
 namespace abg::alloc {
-
-void validate_allocation_inputs(const std::vector<int>& requests,
-                                int total_processors) {
-  if (total_processors < 0) {
-    throw std::invalid_argument("Allocator: negative machine size");
-  }
-  for (const int d : requests) {
-    if (d < 0) {
-      throw std::invalid_argument("Allocator: negative request");
-    }
-  }
-}
 
 std::vector<int> EquiPartition::allocate(const std::vector<int>& requests,
                                          int total_processors) {

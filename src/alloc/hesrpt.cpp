@@ -49,19 +49,28 @@ std::vector<int> HeSrpt::allocate_sized(const std::vector<int>& requests,
                    });
 
   const std::size_t n = active.size();
-  const double inv_p = 1.0 / power_;
   const double total = static_cast<double>(total_processors);
 
   // Ideal real-valued shares theta_i * P, discretized by largest
-  // remainder.  boundary(k) = (k/n)^(1/p) is exact at k = 0 and k = n,
-  // so the integer shares always sum to exactly P before capping.
+  // remainder.  boundary(k) = (k/n)^(1/(1-p)) is exact at k = 0 and
+  // k = n, so the integer shares always sum to exactly P before capping.
+  // At p = 1 the boundary is 0 below k = n: pure SRPT.
+  auto boundary_at = [this, n](std::size_t k) {
+    if (k == n) {
+      return 1.0;
+    }
+    if (power_ >= 1.0) {
+      return 0.0;
+    }
+    return std::pow(static_cast<double>(k) / static_cast<double>(n),
+                    1.0 / (1.0 - power_));
+  };
   std::vector<double> ideal(n, 0.0);
   std::vector<int> share(n, 0);
   int assigned = 0;
   double previous_boundary = 0.0;
   for (std::size_t k = 1; k <= n; ++k) {
-    const double boundary =
-        std::pow(static_cast<double>(k) / static_cast<double>(n), inv_p);
+    const double boundary = boundary_at(k);
     ideal[k - 1] = (boundary - previous_boundary) * total;
     previous_boundary = boundary;
     share[k - 1] = static_cast<int>(ideal[k - 1]);  // floor (ideal >= 0)

@@ -19,7 +19,7 @@ std::vector<int> FaultyAllocator::allocate(const std::vector<int>& requests,
                                            int total_processors) {
   std::vector<int> allotments =
       inner_->allocate(requests, injector_->capacity(total_processors));
-  apply_revocation_caps(allotments);
+  apply_revocation_caps(allotments, nullptr);
   return allotments;
 }
 
@@ -32,18 +32,31 @@ std::vector<int> FaultyAllocator::allocate_sized(
   // sees the fault-reduced machine, sizes pass through untouched.
   std::vector<int> allotments = inner_->allocate_sized(
       requests, remaining, injector_->capacity(total_processors));
-  apply_revocation_caps(allotments);
+  apply_revocation_caps(allotments, nullptr);
   return allotments;
 }
 
-void FaultyAllocator::apply_revocation_caps(std::vector<int>& allotments) {
+std::vector<int> FaultyAllocator::allocate_slots(
+    const std::vector<std::size_t>& slots, const std::vector<int>& requests,
+    const std::vector<double>* remaining, std::size_t slot_count,
+    int total_processors) {
+  std::vector<int> allotments =
+      inner_->allocate_slots(slots, requests, remaining, slot_count,
+                             injector_->capacity(total_processors));
+  apply_revocation_caps(allotments, &slots);
+  return allotments;
+}
+
+void FaultyAllocator::apply_revocation_caps(
+    std::vector<int>& allotments, const std::vector<std::size_t>* slots) {
   last_revoked_ = 0;
   if (injector_->revocation_active()) {
-    for (std::size_t i = 0; i < allotments.size(); ++i) {
-      const int cap = injector_->allotment_cap(i);
-      if (allotments[i] > cap) {
-        last_revoked_ += allotments[i] - cap;
-        allotments[i] = cap;
+    for (std::size_t k = 0; k < allotments.size(); ++k) {
+      const int cap =
+          injector_->allotment_cap(slots != nullptr ? (*slots)[k] : k);
+      if (allotments[k] > cap) {
+        last_revoked_ += allotments[k] - cap;
+        allotments[k] = cap;
       }
     }
   }

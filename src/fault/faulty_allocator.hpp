@@ -36,6 +36,14 @@ class FaultyAllocator final : public alloc::Allocator {
   std::vector<int> allocate_sized(const std::vector<int>& requests,
                                   const std::vector<double>& remaining,
                                   int total_processors) override;
+  /// Forwards the compact call to the inner allocator (exact whichever
+  /// path it takes) and caps each allotment by its slot id, as
+  /// allocate() caps by index.
+  std::vector<int> allocate_slots(const std::vector<std::size_t>& slots,
+                                  const std::vector<int>& requests,
+                                  const std::vector<double>* remaining,
+                                  std::size_t slot_count,
+                                  int total_processors) override;
   int pool(int total_processors) const override;
   void reset() override;
   std::string_view name() const override { return name_; }
@@ -50,7 +58,10 @@ class FaultyAllocator final : public alloc::Allocator {
   const alloc::Allocator& inner() const { return *inner_; }
 
  private:
-  void apply_revocation_caps(std::vector<int>& allotments);
+  /// Caps allotments[k] at the revocation cap of job slots[k], or of job
+  /// k when `slots` is null.
+  void apply_revocation_caps(std::vector<int>& allotments,
+                             const std::vector<std::size_t>* slots);
 
   std::unique_ptr<alloc::Allocator> owned_;  // null for the non-owning form
   alloc::Allocator* inner_;
