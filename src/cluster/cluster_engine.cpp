@@ -79,14 +79,9 @@ void migrate_queued(std::vector<sim::Partition>& machines,
     const dag::Steps eligible =
         std::max(from.loop.batch.eligible_step[donor_slot], epoch.end) +
         quantum_length;
-    const std::size_t slot =
-        to.loop.batch.append(std::move(from.loop.batch.jobs[donor_slot]));
-    to.loop.batch.eligible_step[slot] = eligible;
+    from.loop.transfer_queued(donor_slot, to.loop, eligible);
     to.original.push_back(orig);
-    to.loop.remaining += 1;
-    from.loop.batch.regime[donor_slot] = sim::JobRegime::kDone;
     from.original[donor_slot] = sim::kMovedAway;
-    from.loop.remaining -= 1;
     pressure[donor] -= 1;
     pressure[recv] += 1;
     if (epoch.bus != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -198,18 +199,17 @@ void commit_crash(fault::FaultLog& log, const fault::CrashRecord& record) {
   log.discarded_cycles += record.discarded_cycles;
 }
 
-/// Per-slot remaining work for a size-aware allocator: total minus
-/// completed for active jobs, 0 for everything else.  `buffer` is reused
-/// across quanta to keep the hot path allocation-free.
+/// Remaining work (total minus completed) of each of `slots`, for a
+/// size-aware allocator.  `buffer` is reused across quanta to keep the
+/// hot path allocation-free.
 const std::vector<double>& remaining_work(const JobBatch& batch,
+                                          const std::vector<std::size_t>& slots,
                                           std::vector<double>& buffer) {
-  buffer.assign(batch.size(), 0.0);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch.active(i)) {
-      const JobRuntime& st = batch.jobs[i];
-      buffer[i] = static_cast<double>(st.job->total_work() -
-                                      st.job->completed_work());
-    }
+  buffer.clear();
+  for (const std::size_t i : slots) {
+    const JobRuntime& st = batch.jobs[i];
+    buffer.push_back(static_cast<double>(st.job->total_work() -
+                                         st.job->completed_work()));
   }
   return buffer;
 }
@@ -307,6 +307,14 @@ QuantumLoop::QuantumLoop(JobBatch batch_in, std::size_t remaining_in,
     fault_log_.enabled = true;
     fault_log_.min_capacity = config.processors;
   }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch.regime[i] == JobRegime::kQueued) {
+      eligible_.emplace_back(batch.eligible_step[i], i);
+    } else if (batch.active(i)) {
+      active_.push_back(i);
+    }
+  }
+  std::make_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
 }
 
 QuantumLoop::QuantumLoop(QuantumLoop&&) noexcept = default;
@@ -352,6 +360,7 @@ void QuantumLoop::refill(std::size_t slot, std::unique_ptr<dag::Job> job,
   if (st.job->finished()) {
     st.trace.completion_step = now;
     batch.regime[slot] = JobRegime::kDone;
+    active_.erase(std::lower_bound(active_.begin(), active_.end(), slot));
     if (bus_ != nullptr) {
       publish_complete(bus_, id, now);
     }
@@ -360,9 +369,39 @@ void QuantumLoop::refill(std::size_t slot, std::unique_ptr<dag::Job> job,
   }
 }
 
+std::size_t QuantumLoop::transfer_queued(std::size_t slot, QuantumLoop& to,
+                                         dag::Steps eligible) {
+  assert(batch.regime[slot] == JobRegime::kQueued);
+  const std::size_t moved = to.batch.append(std::move(batch.jobs[slot]));
+  to.batch.eligible_step[moved] = eligible;
+  to.enqueue(moved);
+  ++to.remaining;
+  batch.regime[slot] = JobRegime::kDone;  // its heap entry goes stale
+  --remaining;
+  return moved;
+}
+
+void QuantumLoop::enqueue(std::size_t i) {
+  eligible_.emplace_back(batch.eligible_step[i], i);
+  std::push_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+}
+
+void QuantumLoop::drop_stale() {
+  while (!eligible_.empty()) {
+    const auto [step, i] = eligible_.front();
+    if (batch.regime[i] == JobRegime::kQueued &&
+        batch.eligible_step[i] == step) {
+      return;
+    }
+    std::pop_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+    eligible_.pop_back();
+  }
+}
+
 void QuantumLoop::admit(std::size_t i) {
   JobRuntime& st = batch.jobs[i];
   batch.regime[i] = JobRegime::kActive;
+  active_.insert(std::upper_bound(active_.begin(), active_.end(), i), i);
   if (st.resumed) {
     st.resumed = false;  // keep the preserved desire
   } else {
@@ -416,35 +455,29 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
     }
 
     // Admit jobs eligible by the current boundary, FCFS by eligible step
-    // (ties by submission order), up to the admission cap.
-    active_idx_.clear();
-    std::size_t active_count = batch.active_count();
-    while (active_count < config_.max_active) {
-      const std::size_t best = batch.next_admission(now);
-      if (best == batch.size()) {
+    // (ties by slot), up to the admission cap: the heap's top is exactly
+    // the candidate JobBatch::next_admission would scan for.
+    while (active_.size() < config_.max_active) {
+      drop_stale();
+      if (eligible_.empty() || eligible_.front().first > now) {
         break;
       }
+      const std::size_t best = eligible_.front().second;
+      std::pop_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+      eligible_.pop_back();
       admit(best);
-      ++active_count;
-    }
-    // One request slot per submitted job, in stable submission order:
-    // inactive (unreleased, queued, finished) jobs request 0.  Stable
-    // positions let positional allocators (per-job weights) work across
-    // job completions.
-    requests_.assign(batch.size(), 0);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch.active(i)) {
-        active_idx_.push_back(i);
-        requests_[i] = batch.desire[i];
-      }
     }
 
-    if (active_idx_.empty()) {
+    if (active_.empty()) {
       // All remaining jobs are eligible in the future: idle to the next
-      // eligibility boundary (possibly past the horizon — boundaries stay
-      // aligned, and a tier driver skips the loop until its epoch clock
-      // catches up).
-      const dag::Steps gap = batch.next_eligible_step(max_steps) - now;
+      // eligibility boundary, the heap's top (possibly past the horizon —
+      // boundaries stay aligned, and a tier driver skips the loop until
+      // its epoch clock catches up).
+      drop_stale();
+      const dag::Steps next_eligible =
+          eligible_.empty() ? max_steps
+                            : std::min(max_steps, eligible_.front().first);
+      const dag::Steps gap = next_eligible - now;
       const dag::Steps quanta_to_skip = std::max<dag::Steps>(1, gap / length_);
       now += quanta_to_skip * length_;
       if (now >= max_steps) {
@@ -457,11 +490,18 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
     ++quanta;
     const dag::Steps length = length_;
     const int pool = machine.pool(budget);
-    const std::vector<int> allotments =
-        machine.size_aware()
-            ? machine.allocate_sized(requests_, remaining_work(batch, sized_),
-                                     budget)
-            : machine.allocate(requests_, budget);
+    // Requests of the active slots only, in slot order; the allocator
+    // sees the slot ids, so positional allocators keep their semantics
+    // (alloc::Allocator::allocate_slots).
+    requests_.clear();
+    for (const std::size_t i : active_) {
+      requests_.push_back(batch.desire[i]);
+    }
+    const std::vector<int> allotments = machine.allocate_slots(
+        active_, requests_,
+        machine.size_aware() ? &remaining_work(batch, active_, sized_)
+                             : nullptr,
+        batch.size(), budget);
     int assigned = 0;
     for (const int a : allotments) {
       assigned += a;
@@ -472,7 +512,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
     const int leftover = std::max(0, pool - assigned - revoked);
     if (bus != nullptr) {
       publish_allocation(bus, now, pool, allotments,
-                         static_cast<std::int64_t>(active_idx_.size()));
+                         static_cast<std::int64_t>(active_.size()));
     }
 
     // Which active jobs crash during this quantum.
@@ -499,9 +539,10 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
     bool qlen_sole_valid = false;
 
     feedback_.clear();
-    for (const std::size_t i : active_idx_) {
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+      const std::size_t i = active_[k];
       JobRuntime& st = batch.jobs[i];
-      const int allotment = allotments[i];
+      const int allotment = allotments[k];
       allotted_cycles += static_cast<dag::TaskCount>(allotment) *
                          static_cast<dag::TaskCount>(length);
       const bool crashed =
@@ -555,6 +596,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         batch.previous_allotment[i] = 0;
         batch.regime[i] = JobRegime::kQueued;
         batch.eligible_step[i] = now + length + config_.faults->restart_delay;
+        enqueue(i);
         if (bus != nullptr) {
           publish_crash(bus, batch.id[i], now, record,
                         batch.eligible_step[i]);
@@ -595,6 +637,8 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         feedback_.emplace_back(i, slot);
       }
     }
+    // Finished and crashed jobs leave the active list.
+    std::erase_if(active_, [this](std::size_t i) { return !batch.active(i); });
 
     now += length;
     if (remaining > 0 && now >= max_steps) {
@@ -675,6 +719,9 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
   fault::FaultLog& log = result.fault_log;
   dag::Steps now = 0;
   bool partition_dirty = true;
+  // Repartition scratch: the active slots, their requests and sizes.
+  std::vector<std::size_t> slots;
+  std::vector<int> requests;
   std::vector<double> sized;
   std::size_t remaining = totals.remaining;
 
@@ -837,22 +884,21 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
 
     // Re-partition on any event.
     if (partition_dirty) {
-      std::vector<int> requests(batch.size(), 0);
+      slots.clear();
+      requests.clear();
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch.active(i)) {
-          requests[i] = batch.desire[i];
+          slots.push_back(i);
+          requests.push_back(batch.desire[i]);
         }
       }
-      const std::vector<int> allotments =
-          machine.size_aware()
-              ? machine.allocate_sized(requests,
-                                       remaining_work(batch, sized),
-                                       config.processors)
-              : machine.allocate(requests, config.processors);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch.active(i)) {
-          continue;
-        }
+      const std::vector<int> allotments = machine.allocate_slots(
+          slots, requests,
+          machine.size_aware() ? &remaining_work(batch, slots, sized)
+                               : nullptr,
+          batch.size(), config.processors);
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        const std::size_t i = slots[k];
         if (config.reallocation_cost_per_proc > 0) {
           // A repartition that moves this job's processors charges
           // cost·|Δa| migration steps, accumulated as debt and capped at
@@ -860,13 +906,13 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
           // engine's up-front penalty.
           JobRuntime& st = batch.jobs[i];
           const dag::Steps penalty = reallocation_penalty(
-              batch.previous_allotment[i], allotments[i],
+              batch.previous_allotment[i], allotments[k],
               config.reallocation_cost_per_proc, st.quantum_target);
           st.migration_debt =
               std::min(st.quantum_target, st.migration_debt + penalty);
         }
-        batch.previous_allotment[i] = allotments[i];
-        batch.allotment[i] = allotments[i];
+        batch.previous_allotment[i] = allotments[k];
+        batch.allotment[i] = allotments[k];
       }
       if (bus != nullptr) {
         publish_allocation(bus, now, machine.pool(config.processors),

@@ -43,37 +43,39 @@ TEST(HeSrpt, SmallestRemainingGetsLargestShare) {
   EXPECT_GT(result[1], result[0]);
 }
 
-TEST(HeSrpt, PowerOneSplitsEvenly) {
+TEST(HeSrpt, PowerOneIsPureSrpt) {
   HeSrpt alloc(1.0);
   const std::vector<int> requests = {32, 32, 32};
   const std::vector<double> remaining = {300.0, 100.0, 200.0};
   const std::vector<int> result = alloc.allocate_sized(requests, remaining, 32);
-  // p = 1 makes boundary(k) = k/n: equal increments, i.e. equipartition.
-  // The two leftover processors go to the later ranks (smaller jobs) by
-  // the deterministic largest-remainder tie-break.
-  EXPECT_EQ(result[0], 10);
-  EXPECT_EQ(result[1], 11);
-  EXPECT_EQ(result[2], 11);
-}
-
-TEST(HeSrpt, SmallPowerApproachesSrpt) {
-  HeSrpt alloc(0.05);
-  const std::vector<int> requests = {32, 32, 32};
-  const std::vector<double> remaining = {300.0, 100.0, 200.0};
-  const std::vector<int> result = alloc.allocate_sized(requests, remaining, 32);
-  // p -> 0 concentrates the whole boundary on the last rank: the
-  // smallest-remaining job takes the machine.
+  // p = 1 is the linear-speedup limit of boundary(k) = (k/n)^(1/(1-p)):
+  // every boundary below k = n is 0, so the smallest-remaining job takes
+  // the machine.
   EXPECT_EQ(result[1], 32);
   EXPECT_EQ(result[0], 0);
   EXPECT_EQ(result[2], 0);
 }
 
-TEST(HeSrpt, RequestCapsWaterFillToNextSmallest) {
+TEST(HeSrpt, SmallPowerApproachesEqui) {
   HeSrpt alloc(0.05);
+  const std::vector<int> requests = {32, 32, 32};
+  const std::vector<double> remaining = {300.0, 100.0, 200.0};
+  const std::vector<int> result = alloc.allocate_sized(requests, remaining, 32);
+  // p -> 0 sends the exponent 1/(1-p) to 1, so the boundaries approach
+  // k/n: an almost even split.  The closed form at p = 0.05 gives ideal
+  // shares 10.07, 10.81 and 11.12 by rank (largest remaining first); the
+  // leftover processor goes to the largest fractional part, rank 2.
+  EXPECT_EQ(result[0], 10);
+  EXPECT_EQ(result[2], 11);
+  EXPECT_EQ(result[1], 11);
+}
+
+TEST(HeSrpt, RequestCapsWaterFillToNextSmallest) {
+  HeSrpt alloc(1.0);
   const std::vector<int> requests = {32, 4, 32};
   const std::vector<double> remaining = {300.0, 100.0, 200.0};
   const std::vector<int> result = alloc.allocate_sized(requests, remaining, 32);
-  // Near-SRPT wants everything on job 1, but its request caps at 4; the
+  // SRPT wants everything on job 1, but its request caps at 4; the
   // surplus water-fills to the next-smallest remaining job.
   EXPECT_EQ(result[1], 4);
   EXPECT_EQ(result[2], 28);
