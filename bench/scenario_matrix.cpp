@@ -9,7 +9,7 @@
 //                    paper's baseline),
 //   * a-greedy+hesrpt — greedy desires under the size-aware heSRPT-style
 //                    allocator (Berg et al.): the machine is split along
-//                    (k/n)^(1/p) boundaries ranked by remaining work, so
+//                    (k/n)^(1/(1-p)) boundaries ranked by remaining work, so
 //                    small jobs finish first.
 //
 // Scenarios are discovered as the checked-in library files (the fixed

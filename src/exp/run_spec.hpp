@@ -130,7 +130,8 @@ enum class AllocatorKind {
   /// Round-robin (the other fair allocator the benches compare against).
   kRoundRobin,
   /// Size-aware heSRPT-style shares (alloc::HeSrpt): rank jobs by
-  /// remaining work and split the machine along (k/n)^(1/p) boundaries.
+  /// remaining work and split the machine along (k/n)^(1/(1-p))
+  /// boundaries.
   kHesrpt,
 };
 

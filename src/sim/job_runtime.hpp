@@ -5,13 +5,15 @@
 // per-job quanta) track the same per-job bookkeeping: the executable job,
 // its private clone of the request-policy prototype, the trace being
 // assembled, the feedback desire, admission eligibility and crash/restart
-// flags.  The hot per-boundary passes — admission scans, desire
-// collection, regime counting, stride planning — touch only a few small
-// fields per job, so those live in JobBatch as contiguous lanes (desire,
-// allotment, previous_allotment, eligible_step, regime) the engines sweep
-// cache-line by cache-line, while the cold per-job state (job pointers,
-// policy clones, the growing trace, quantum accumulators) stays in
-// JobRuntime, one element per lane slot.
+// flags.  The hot per-boundary passes — admission, desire collection,
+// regime checks, stride planning — touch only a few small fields per job,
+// so those live in JobBatch as contiguous lanes (desire, allotment,
+// previous_allotment, eligible_step, regime), while the cold per-job state
+// (job pointers, policy clones, the growing trace, quantum accumulators)
+// stays in JobRuntime, one element per lane slot.  The sync loop reaches
+// the lanes through its own index structures (an eligibility heap and an
+// active list, sim/engine_core.hpp), so it touches only the slots that
+// are admitted or running; the async driver sweeps the lanes whole.
 //
 // This header is an engine-internal contract (consumed by
 // sim/engine_core.hpp); external code interacts with the engines through
@@ -175,7 +177,9 @@ struct JobBatch {
   /// FCFS admission candidate: the queued job with the lowest eligible
   /// step (ties by submission order), or size() when none is eligible.
   /// Candidates are scanned in submission order; releases are not
-  /// required to be sorted.
+  /// required to be sorted.  The async driver admits with this scan; the
+  /// sync loop's eligibility heap yields the same order, and
+  /// tests/admission_order_test.cpp holds the two to it.
   std::size_t next_admission(dag::Steps now) const;
 
   /// Earliest step at which any unfinished job becomes eligible, for the

@@ -10,6 +10,7 @@
 
 #include "alloc/availability_profile.hpp"
 #include "alloc/equipartition.hpp"
+#include "alloc/hesrpt.hpp"
 #include "alloc/round_robin.hpp"
 #include "alloc/unconstrained.hpp"
 #include "alloc/weighted_equipartition.hpp"
@@ -39,6 +40,9 @@ std::unique_ptr<Allocator> make_deq() {
 std::unique_ptr<Allocator> make_rr() { return std::make_unique<RoundRobin>(); }
 std::unique_ptr<Allocator> make_unconstrained() {
   return std::make_unique<Unconstrained>();
+}
+std::unique_ptr<Allocator> make_hesrpt() {
+  return std::make_unique<HeSrpt>();
 }
 std::unique_ptr<Allocator> make_profile() {
   return std::make_unique<AvailabilityProfile>(
@@ -166,6 +170,118 @@ TEST_P(AllocatorProperties, FairWhenClaimed) {
   }
 }
 
+/// One slot-aware call on a batch of `slot_count` slots: a random sparse
+/// set of active slots (ascending), their requests and remaining work.
+struct SparseCall {
+  std::vector<std::size_t> slots;
+  std::vector<int> requests;
+  std::vector<double> remaining;
+  std::size_t slot_count = 0;
+  int machine = 0;
+};
+
+SparseCall random_sparse_call(util::Rng& rng, std::size_t slot_count) {
+  SparseCall call;
+  call.slot_count = slot_count;
+  const double density = rng.uniform01();
+  for (std::size_t i = 0; i < slot_count; ++i) {
+    if (rng.bernoulli(density)) {
+      call.slots.push_back(i);
+      // Mostly positive desires; an active slot may still request 0.
+      call.requests.push_back(static_cast<int>(rng.uniform_int(0, 40)));
+      // Whole-number sizes make equal-size ties (and heSRPT's
+      // tie-break by slot) likely.
+      call.remaining.push_back(static_cast<double>(rng.uniform_int(0, 8)));
+    }
+  }
+  call.machine = static_cast<int>(rng.uniform_int(0, 64));
+  return call;
+}
+
+/// The reference the slot-aware call must equal: scatter the compact
+/// lists into full-length vectors (0 for inactive slots), call
+/// allocate() or allocate_sized(), gather the active slots.
+std::vector<int> scatter_allocate_gather(Allocator& alloc,
+                                         const SparseCall& call) {
+  std::vector<int> requests(call.slot_count, 0);
+  std::vector<double> remaining(call.slot_count, 0.0);
+  for (std::size_t k = 0; k < call.slots.size(); ++k) {
+    requests[call.slots[k]] = call.requests[k];
+    remaining[call.slots[k]] = call.remaining[k];
+  }
+  const std::vector<int> full =
+      alloc.size_aware()
+          ? alloc.allocate_sized(requests, remaining, call.machine)
+          : alloc.allocate(requests, call.machine);
+  std::vector<int> gathered;
+  for (const std::size_t i : call.slots) {
+    gathered.push_back(full[i]);
+  }
+  return gathered;
+}
+
+std::vector<int> allocate_slots(Allocator& alloc, const SparseCall& call) {
+  return alloc.allocate_slots(
+      call.slots, call.requests,
+      alloc.size_aware() ? &call.remaining : nullptr, call.slot_count,
+      call.machine);
+}
+
+TEST_P(AllocatorProperties, SlotAwareCallMatchesScatterAllocateGather) {
+  // Two allocators from the same factory see the same stream of 20
+  // consecutive calls, one through allocate_slots and one through the
+  // full-length reference, so rotation, cursor and profile state must
+  // advance identically for the results to keep matching.
+  const AllocatorCase& c = GetParam();
+  util::Rng rng(2468);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto compact = c.make();
+    const auto reference = c.make();
+    const auto slot_count = static_cast<std::size_t>(rng.uniform_int(1, 48));
+    for (int call_index = 0; call_index < 20; ++call_index) {
+      const SparseCall call = random_sparse_call(rng, slot_count);
+      ASSERT_EQ(compact->pool(call.machine), reference->pool(call.machine));
+      ASSERT_EQ(allocate_slots(*compact, call),
+                scatter_allocate_gather(*reference, call))
+          << c.name << " trial " << trial << " call " << call_index;
+    }
+  }
+}
+
+TEST_P(AllocatorProperties, SlotAwareCallMatchesUnderRevocation) {
+  // The same equivalence through a FaultyAllocator whose injector has
+  // revocations active: caps apply by slot id on the compact path and by
+  // index on the reference path, and last_revoked() must agree.
+  const AllocatorCase& c = GetParam();
+  util::Rng rng(1357);
+  fault::FaultPlan plan;
+  for (int e = 0; e < 40; ++e) {
+    fault::FaultEvent revoke;
+    revoke.step = 10 * e;
+    revoke.kind = fault::FaultKind::kAllotmentRevocation;
+    // Low slots, so that even the availability profile, which serves
+    // slots greedily in order, has revoked slots holding processors.
+    revoke.job = static_cast<int>(rng.uniform_int(0, 11));
+    revoke.cap = static_cast<int>(rng.uniform_int(0, 3));
+    revoke.duration = rng.uniform_int(20, 120);
+    plan.events.push_back(revoke);
+  }
+  fault::FaultInjector injector(plan);
+  fault::FaultyAllocator compact(c.make(), injector);
+  fault::FaultyAllocator reference(c.make(), injector);
+  int revoked = 0;
+  for (dag::Steps step = 0; step < 400; step += 10) {
+    injector.advance(step, step + 10);
+    const SparseCall call = random_sparse_call(rng, 48);
+    ASSERT_EQ(allocate_slots(compact, call),
+              scatter_allocate_gather(reference, call))
+        << c.name << " at step " << step;
+    ASSERT_EQ(compact.last_revoked(), reference.last_revoked());
+    revoked += compact.last_revoked();
+  }
+  EXPECT_GT(revoked, 0) << "no revocation ever clamped an allotment";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllAllocators, AllocatorProperties,
     ::testing::Values(
@@ -175,6 +291,7 @@ INSTANTIATE_TEST_SUITE_P(
                       false},
         AllocatorCase{"availability-profile", &make_profile, true, false,
                       false},
+        AllocatorCase{"hesrpt", &make_hesrpt, true, true, false},
         AllocatorCase{"faulty-equi-partition", &make_faulty_deq, true, true,
                       true},
         AllocatorCase{"faulty-round-robin", &make_faulty_rr, true, true,
