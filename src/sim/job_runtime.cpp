@@ -1,23 +1,65 @@
 #include "sim/job_runtime.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace abg::sim {
 
-std::size_t JobBatch::next_admission(dag::Steps now) const {
-  std::size_t best = size();
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (regime[i] != JobRegime::kQueued || eligible_step[i] > now) {
-      continue;
-    }
-    if (best == size() || eligible_step[i] < eligible_step[best]) {
-      best = i;
+LifecycleIndex::LifecycleIndex(const JobBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch.regime[i] == JobRegime::kQueued) {
+      eligible_.emplace_back(batch.eligible_step[i], i);
+    } else if (batch.active(i)) {
+      active_.push_back(i);
     }
   }
+  std::make_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+}
+
+void LifecycleIndex::enqueue(const JobBatch& batch, std::size_t i) {
+  eligible_.emplace_back(batch.eligible_step[i], i);
+  std::push_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+}
+
+void LifecycleIndex::drop_stale(const JobBatch& batch) {
+  while (!eligible_.empty()) {
+    const auto [step, i] = eligible_.front();
+    if (batch.regime[i] == JobRegime::kQueued &&
+        batch.eligible_step[i] == step) {
+      return;
+    }
+    std::pop_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+    eligible_.pop_back();
+  }
+}
+
+std::size_t LifecycleIndex::pop_admissible(const JobBatch& batch,
+                                           dag::Steps now) {
+  drop_stale(batch);
+  if (eligible_.empty() || eligible_.front().first > now) {
+    return batch.size();
+  }
+  const std::size_t best = eligible_.front().second;
+  std::pop_heap(eligible_.begin(), eligible_.end(), std::greater<>{});
+  eligible_.pop_back();
   return best;
+}
+
+dag::Steps LifecycleIndex::next_eligible(const JobBatch& batch,
+                                         dag::Steps bound) {
+  drop_stale(batch);
+  return eligible_.empty() ? bound : std::min(bound, eligible_.front().first);
+}
+
+void LifecycleIndex::activate(std::size_t i) {
+  active_.insert(std::upper_bound(active_.begin(), active_.end(), i), i);
+}
+
+void LifecycleIndex::drop_inactive(const JobBatch& batch) {
+  std::erase_if(active_, [&batch](std::size_t i) { return !batch.active(i); });
 }
 
 JobBatch intake_submissions(std::vector<JobSubmission> submissions,

@@ -174,7 +174,6 @@ SimResult run_partitioned(std::vector<JobSubmission> submissions,
   SimResult result;
   result.jobs.resize(n);
   for (Partition& part : parts) {
-    part.loop.batch.flush_quanta();
     result.quanta += part.loop.quanta;
     for (std::size_t k = 0; k < part.loop.batch.size(); ++k) {
       if (part.original[k] != kMovedAway) {
