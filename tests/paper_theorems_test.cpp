@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "alloc/availability_profile.hpp"
@@ -231,8 +232,13 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& param_info) {
       const double rate = std::get<0>(param_info.param);
       const std::uint64_t seed = std::get<1>(param_info.param);
-      return "R" + std::to_string(static_cast<int>(rate * 100)) + "Seed" +
-             std::to_string(seed);
+      // Appended piecewise: GCC 12 flags "R" + std::to_string(...) with a
+      // false -Wrestrict positive.
+      std::string name = "R";
+      name += std::to_string(static_cast<int>(rate * 100));
+      name += "Seed";
+      name += std::to_string(seed);
+      return name;
     });
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PaperTheorems,

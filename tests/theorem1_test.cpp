@@ -6,6 +6,7 @@
 // driving an actual job.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "alloc/unconstrained.hpp"
@@ -81,8 +82,13 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& param_info) {
       const double rate = std::get<0>(param_info.param);
       const int parallelism = std::get<1>(param_info.param);
-      return "R" + std::to_string(static_cast<int>(rate * 10)) + "A" +
-             std::to_string(parallelism);
+      // Appended piecewise: GCC 12 flags "R" + std::to_string(...) with a
+      // false -Wrestrict positive.
+      std::string name = "R";
+      name += std::to_string(static_cast<int>(rate * 10));
+      name += "A";
+      name += std::to_string(parallelism);
+      return name;
     });
 
 TEST(Theorem1Contrast, AGreedyViolatesStability) {

@@ -223,9 +223,9 @@ int check_stats(const std::string& path) {
       require(doc, "total_waste").as_integer() < 0) {
     fail("work totals must be non-negative");
   }
-  for (const std::string& name : {"response", "slowdown", "queue_depth"}) {
+  for (const std::string name : {"response", "slowdown", "queue_depth"}) {
     const Json& dist = require(doc, name);
-    for (const std::string& key : {"mean", "max", "p50", "p95", "p99"}) {
+    for (const char* key : {"mean", "max", "p50", "p95", "p99"}) {
       require(dist, key);
     }
     // Percentiles of a completed stream are ordered; an empty stream
