@@ -4,6 +4,8 @@
 // accounting balance.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "alloc/equipartition.hpp"
@@ -12,6 +14,7 @@
 #include "fault/resilience.hpp"
 #include "sched/a_control.hpp"
 #include "sched/execution_policy.hpp"
+#include "sched/quantum_length.hpp"
 #include "sim/async_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/validate.hpp"
@@ -262,6 +265,102 @@ TEST(FaultSim, PolicyStatePreservedOrResetOnRestart) {
   // Reset: the restarted job re-requests d(1), its very first request.
   EXPECT_EQ(reset_next_req, fresh.jobs[0].quanta[0].request);
   EXPECT_LT(reset_next_req, reset_crash_req);
+}
+
+/// FNV-1a fold of every trace field of every job, in submission order.
+std::uint64_t trace_fingerprint(const SimResult& result) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const JobTrace& t : result.jobs) {
+    fold(static_cast<std::uint64_t>(t.release_step));
+    fold(static_cast<std::uint64_t>(t.completion_step));
+    fold(static_cast<std::uint64_t>(t.work));
+    fold(static_cast<std::uint64_t>(t.critical_path));
+    fold(t.quanta.size());
+    for (const sched::QuantumStats& q : t.quanta) {
+      fold(static_cast<std::uint64_t>(q.index));
+      fold(static_cast<std::uint64_t>(q.start_step));
+      fold(static_cast<std::uint64_t>(q.request));
+      fold(static_cast<std::uint64_t>(q.allotment));
+      fold(static_cast<std::uint64_t>(q.available));
+      fold(static_cast<std::uint64_t>(q.length));
+      fold(static_cast<std::uint64_t>(q.steps_used));
+      fold(static_cast<std::uint64_t>(q.work));
+      fold(std::bit_cast<std::uint64_t>(q.cpl));
+      fold(q.finished ? 1u : 0u);
+      fold(q.full ? 1u : 0u);
+    }
+  }
+  return h;
+}
+
+TEST(FaultSim, CrashesUnderAdaptiveQuantumLengthArePinned) {
+  // Crash quanta feed the quantum-length policy too: several jobs under
+  // an adaptive length schedule, crashed while others run and while one
+  // runs alone, under every work-loss and restart-policy pairing.  The
+  // expected fingerprints (every field of every trace) were recorded from
+  // the engine before its crash branch was refactored.
+  struct Case {
+    fault::WorkLoss loss;
+    fault::PolicyOnRestart policy;
+    std::int64_t quanta;
+    dag::Steps makespan;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {fault::WorkLoss::kCheckpointQuantum, fault::PolicyOnRestart::kPreserve,
+       78, 1047, 0x4fad702c6f7b83c8ull},
+      {fault::WorkLoss::kCheckpointQuantum, fault::PolicyOnRestart::kReset,
+       75, 1000, 0xa31e22ea0f7895fdull},
+      {fault::WorkLoss::kRestartFromScratch,
+       fault::PolicyOnRestart::kPreserve, 141, 1817, 0xb2eec33b8c4fe06dull},
+      {fault::WorkLoss::kRestartFromScratch, fault::PolicyOnRestart::kReset,
+       138, 1822, 0x790dec4c6533dc76ull},
+  };
+  for (const Case& c : cases) {
+    fault::FaultPlan plan = fault::periodic_crash_plan(0, 45, 110, 2);
+    for (const fault::FaultPlan& more :
+         {fault::periodic_crash_plan(1, 70, 1000, 1),
+          fault::periodic_crash_plan(2, 900, 1000, 1)}) {
+      plan.events.insert(plan.events.end(), more.events.begin(),
+                         more.events.end());
+    }
+    plan.normalize();
+    plan.work_loss = c.loss;
+    plan.policy_on_restart = c.policy;
+    sched::AdaptiveQuantumConfig qconfig;
+    qconfig.min_length = 10;
+    qconfig.max_length = 80;
+    sched::AdaptiveQuantumLength lengths(qconfig);
+    SimConfig config{.processors = 16};
+    config.quantum_length_policy = &lengths;
+    config.faults = &plan;
+
+    std::vector<JobSubmission> subs;
+    for (const int periods : {2, 3, 9}) {
+      JobSubmission s;
+      s.job = std::make_unique<dag::ProfileJob>(
+          workload::square_wave_profile(2, 40, 12, 40, periods));
+      subs.push_back(std::move(s));
+    }
+    sched::BGreedyExecution exec;
+    sched::AControlRequest proto;
+    alloc::EquiPartition deq;
+    const SimResult result =
+        simulate_job_set(std::move(subs), exec, proto, deq, config);
+
+    EXPECT_EQ(result.fault_log.crashes.size(), 4u);
+    EXPECT_EQ(result.quanta, c.quanta);
+    EXPECT_EQ(result.makespan, c.makespan);
+    EXPECT_EQ(trace_fingerprint(result), c.fingerprint)
+        << std::hex << "0x" << trace_fingerprint(result) << std::dec
+        << " quanta " << result.quanta << " makespan " << result.makespan;
+  }
 }
 
 TEST(FaultSim, RestartDelayDefersReadmission) {
