@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <utility>
@@ -130,7 +131,7 @@ struct SweepConfig {
   /// When set, accumulates span "sweep.run" (seconds + run count) so
   /// BENCH_profile.json can report sweep throughput.
   obs::Profiler* profiler = nullptr;
-  /// Durability knobs used by run_monitored(); ignored by run().
+  /// Durability knobs of both run() and run_monitored().
   RobustnessConfig robustness;
 };
 
@@ -197,22 +198,25 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepConfig config) : config_(std::move(config)) {}
 
-  /// Runs every spec and returns records ordered by grid position
-  /// (records[i].run_id == i).  An empty grid is a no-op returning {}.
-  /// The first exception thrown by any run propagates; remaining runs
-  /// still execute.  Ignores config.robustness — this is the legacy
-  /// fail-fast path benches and tests pin.
+  /// run_monitored() that fails on a quarantined cell.  After every cell
+  /// has run, rethrows the original exception of the quarantined cell with
+  /// the lowest run id; with none, returns the records ordered by grid
+  /// position (records[i].run_id == i, except cells a drain skipped).  An
+  /// empty grid is a no-op returning {}.
   std::vector<RunRecord> run(const std::vector<RunSpec>& specs) const;
 
   /// The durable path: journaling, resume, watchdog deadlines, retry with
   /// backoff, quarantine, and drain/abort handling per
   /// config.robustness.  Run exceptions never propagate — a cell that
-  /// exhausts its budget is quarantined and the sweep continues.  With a
-  /// default-constructed RobustnessConfig the returned records are
-  /// byte-identical to run()'s on a grid where no run throws.
+  /// exhausts its budget is quarantined and the sweep continues.
   SweepOutcome run_monitored(const std::vector<RunSpec>& specs) const;
 
  private:
+  /// The one cell loop behind run() and run_monitored().  Sets errors[i]
+  /// to the last exception of cell i when it is quarantined, else null.
+  SweepOutcome monitor(const std::vector<RunSpec>& specs,
+                       std::vector<std::exception_ptr>& errors) const;
+
   SweepConfig config_;
 };
 

@@ -2,7 +2,22 @@
 
 #include <stdexcept>
 
+#include "alloc/equipartition.hpp"
+#include "alloc/round_robin.hpp"
+
 namespace abg::hier {
+
+std::unique_ptr<alloc::Allocator> make_group_allocator(
+    const std::string& name) {
+  if (name == "deq") {
+    return std::make_unique<alloc::EquiPartition>();
+  }
+  if (name == "rr") {
+    return std::make_unique<alloc::RoundRobin>();
+  }
+  throw std::invalid_argument("unknown group allocator '" + name +
+                              "' (expected deq|rr)");
+}
 
 DesireAggregator::DesireAggregator(int groups,
                                    std::unique_ptr<alloc::Allocator> root)
@@ -15,18 +30,6 @@ DesireAggregator::DesireAggregator(int groups,
   }
 }
 
-std::vector<int> DesireAggregator::roll_up(
-    const std::vector<int>& requests) const {
-  std::vector<int> desires(static_cast<std::size_t>(groups_), 0);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i] < 0) {
-      throw std::invalid_argument("DesireAggregator: negative request");
-    }
-    desires[group_of(i, desires.size())] += requests[i];
-  }
-  return desires;
-}
-
 std::vector<int> DesireAggregator::split(const std::vector<int>& group_desires,
                                          int total_processors) {
   if (group_desires.size() != static_cast<std::size_t>(groups_)) {
@@ -34,7 +37,6 @@ std::vector<int> DesireAggregator::split(const std::vector<int>& group_desires,
         "DesireAggregator::split: expected one desire per group");
   }
   std::vector<int> budgets = root_->allocate(group_desires, total_processors);
-  ++rebalances_;
 
   int assigned = 0;
   for (const int b : budgets) {
@@ -59,19 +61,6 @@ std::vector<int> DesireAggregator::split(const std::vector<int>& group_desires,
   }
   ++surplus_rotation_;
   return budgets;
-}
-
-void DesireAggregator::reset() {
-  root_->reset();
-  surplus_rotation_ = 0;
-  rebalances_ = 0;
-}
-
-std::unique_ptr<DesireAggregator> DesireAggregator::clone() const {
-  auto copy = std::make_unique<DesireAggregator>(groups_, root_->clone());
-  copy->surplus_rotation_ = surplus_rotation_;
-  copy->rebalances_ = rebalances_;
-  return copy;
 }
 
 }  // namespace abg::hier

@@ -3,13 +3,13 @@
 // Cao & Sun's hierarchical scheduling observes that a flat allocator must
 // water-fill over every concurrent job each quantum, which stops scaling in
 // the tens of thousands of jobs.  The fix is a two-level tree: jobs are
-// partitioned into allocation groups, each group rolls its members' desires
-// up into one aggregated desire, the root divides the machine over the
+// partitioned into allocation groups, each group's members' desires add up
+// to one aggregated desire, the root divides the machine over the
 // per-group desires (using any existing alloc::Allocator as the root
 // policy), and each group then divides its budget over its members with its
 // own allocator.  The root sees G numbers instead of N, and the G group
-// problems are independent — which is what lets the sharded engine run them
-// on worker threads.
+// problems are independent — which is what lets the sharded engine
+// (sim/sharded_engine.hpp) run them on worker threads.
 //
 // The flat path is the 1-group special case: with one group the root's
 // water-fill is trivial, the whole machine becomes the group's budget, and
@@ -18,8 +18,8 @@
 // pins).
 #pragma once
 
-#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -32,7 +32,14 @@ inline std::size_t group_of(std::size_t job, std::size_t groups) {
   return job % groups;
 }
 
-/// Rolls per-group desires up to one machine-level division per rebalance.
+/// Builds the allocator a group-level name selects: "deq" (dynamic
+/// equi-partitioning) or "rr" (round-robin).  Throws std::invalid_argument
+/// on anything else.
+std::unique_ptr<alloc::Allocator> make_group_allocator(
+    const std::string& name);
+
+/// Divides the machine over the groups' aggregated desires once per
+/// rebalance.
 ///
 /// The root allocator is conservative (budget_g <= desire_g), so after its
 /// water-fill any surplus means every group's desire was met in full; the
@@ -44,41 +51,20 @@ inline std::size_t group_of(std::size_t job, std::size_t groups) {
 class DesireAggregator {
  public:
   /// `groups` >= 1; `root` divides the machine over group desires and is
-  /// owned (and reset) by the aggregator.
+  /// owned by the aggregator.
   DesireAggregator(int groups, std::unique_ptr<alloc::Allocator> root);
-
-  int groups() const { return groups_; }
-
-  /// Sums per-job requests into one desire per group (job i contributes to
-  /// group i mod groups).  Requests beyond the caller's job count are not
-  /// padded: any vector size is accepted and empty groups get desire 0.
-  std::vector<int> roll_up(const std::vector<int>& requests) const;
 
   /// Divides `total_processors` over the group desires: root water-fill,
   /// then surplus spread from a rotating offset.  The returned budgets sum
   /// to exactly `total_processors` (when it is non-negative and there is at
-  /// least one group).  Counts one rebalance.
+  /// least one group).
   std::vector<int> split(const std::vector<int>& group_desires,
                          int total_processors);
-
-  /// Number of split() calls since construction or reset().
-  std::int64_t rebalances() const { return rebalances_; }
-
-  /// Resets the root allocator, the surplus rotation and the rebalance
-  /// counter.
-  void reset();
-
-  const alloc::Allocator& root() const { return *root_; }
-
-  /// Deep copy preserving the root allocator's state and the surplus
-  /// rotation, so a cloned tree continues the exact allocation sequence.
-  std::unique_ptr<DesireAggregator> clone() const;
 
  private:
   int groups_;
   std::unique_ptr<alloc::Allocator> root_;
   std::size_t surplus_rotation_ = 0;
-  std::int64_t rebalances_ = 0;
 };
 
 }  // namespace abg::hier

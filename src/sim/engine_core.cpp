@@ -153,6 +153,46 @@ void admit(JobBatch& batch, LifecycleIndex& index, std::size_t i,
   }
 }
 
+/// Input for the optional quantum-length policy, gathered as a quantum's
+/// stats are produced: the sole job's stats verbatim when exactly one job
+/// ran the quantum (the single-job feedback loop), machine-aggregated
+/// stats otherwise.  A crash-voided quantum counts toward the aggregate
+/// but never stands in for the sole job.
+struct QuantumLengthInput {
+  sched::QuantumStats aggregate{.full = true};
+  sched::QuantumStats sole;
+  std::size_t count = 0;
+  bool sole_valid = false;
+
+  void add(const sched::QuantumStats& stats, bool crashed) {
+    ++count;
+    sole_valid = !crashed;
+    if (!crashed) {
+      sole = stats;
+    }
+    aggregate.work += stats.work;
+    aggregate.allotment += stats.allotment;
+    aggregate.request += stats.request;
+    aggregate.cpl = std::max(aggregate.cpl, stats.cpl);
+    aggregate.full = aggregate.full && stats.full;
+  }
+
+  /// The stats the policy sees for global quantum `index`, which started
+  /// at `start` with `length` steps and a pool of `available` processors.
+  const sched::QuantumStats& finish(std::int64_t index, dag::Steps start,
+                                    dag::Steps length, int available) {
+    if (count == 1 && sole_valid) {
+      return sole;
+    }
+    aggregate.index = index;
+    aggregate.start_step = start;
+    aggregate.length = length;
+    aggregate.steps_used = length;
+    aggregate.available = available;
+    return aggregate;
+  }
+};
+
 void publish_allocation(obs::EventBus* bus, dag::Steps now, int pool,
                         const std::vector<int>& allotments,
                         std::int64_t active_jobs) {
@@ -495,15 +535,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
       }
     }
 
-    // Inputs for the optional quantum-length policy, gathered as stats are
-    // produced: the sole job's stats verbatim when exactly one job ran the
-    // quantum (the single-job feedback loop), machine-aggregated stats
-    // otherwise.
-    sched::QuantumStats qlen_agg;
-    qlen_agg.full = true;
-    sched::QuantumStats qlen_sole;
-    std::size_t qlen_count = 0;
-    bool qlen_sole_valid = false;
+    QuantumLengthInput qlen;
 
     feedback_.clear();
     for (std::size_t k = 0; k < active.size(); ++k) {
@@ -534,13 +566,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
           publish_quantum(bus, batch.id[i], stats);
         }
         if (config_.quantum_length_policy != nullptr) {
-          ++qlen_count;
-          qlen_sole_valid = false;
-          qlen_agg.work += stats.work;
-          qlen_agg.allotment += stats.allotment;
-          qlen_agg.request += stats.request;
-          qlen_agg.cpl = std::max(qlen_agg.cpl, stats.cpl);
-          qlen_agg.full = qlen_agg.full && stats.full;
+          qlen.add(stats, /*crashed=*/true);
         }
         fault::CrashRecord record;
         record.job = i;
@@ -554,8 +580,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         }
         if (config_.faults->policy_on_restart ==
             fault::PolicyOnRestart::kReset) {
-          st.request->reset();
-          batch.desire[i] = st.request->first_request();
+          st.request->reset();  // admit() re-requests d(1)
         } else {
           st.resumed = true;  // re-admission keeps the preserved desire
         }
@@ -584,14 +609,7 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
         publish_quantum(bus, batch.id[i], stats);
       }
       if (config_.quantum_length_policy != nullptr) {
-        ++qlen_count;
-        qlen_sole = stats;
-        qlen_sole_valid = true;
-        qlen_agg.work += stats.work;
-        qlen_agg.allotment += stats.allotment;
-        qlen_agg.request += stats.request;
-        qlen_agg.cpl = std::max(qlen_agg.cpl, stats.cpl);
-        qlen_agg.full = qlen_agg.full && stats.full;
+        qlen.add(stats, /*crashed=*/false);
       }
       if (stats.finished) {
         st.trace.completion_step = now + stats.steps_used;
@@ -623,16 +641,8 @@ void QuantumLoop::advance(dag::Steps horizon, int budget) {
       batch.desire[i] = st.request->next_request(st.trace.quanta.back());
     }
     if (config_.quantum_length_policy != nullptr && remaining > 0) {
-      if (qlen_count == 1 && qlen_sole_valid) {
-        length_ = config_.quantum_length_policy->next_length(qlen_sole);
-      } else {
-        qlen_agg.index = quanta;
-        qlen_agg.start_step = now - length;
-        qlen_agg.length = length;
-        qlen_agg.steps_used = length;
-        qlen_agg.available = pool;
-        length_ = config_.quantum_length_policy->next_length(qlen_agg);
-      }
+      length_ = config_.quantum_length_policy->next_length(
+          qlen.finish(quanta, now - length, length, pool));
       if (length_ < 1) {
         throw std::logic_error(
             std::string(config_.context) +

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "hier/desire_aggregator.hpp"
-#include "hier/hierarchical_allocator.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/profile.hpp"
 #include "sim/partitioned_driver.hpp"

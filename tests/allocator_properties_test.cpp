@@ -16,7 +16,6 @@
 #include "alloc/weighted_equipartition.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/faulty_allocator.hpp"
-#include "hier/hierarchical_allocator.hpp"
 #include "util/rng.hpp"
 
 namespace abg::alloc {
@@ -63,17 +62,6 @@ std::unique_ptr<Allocator> make_faulty_deq() {
 std::unique_ptr<Allocator> make_faulty_rr() {
   return std::make_unique<fault::FaultyAllocator>(make_rr(),
                                                   idle_injector());
-}
-
-// The hierarchical tree over DEQ groups.  Conservativeness, the pool bound
-// and non-reservation hold at any group count; *global* fairness holds
-// only at one group (the flat special case) — at more groups a job in a
-// contended group can legitimately get less than a job in a quiet one, so
-// the tree claims only within-group fairness (tested separately below).
-template <int Groups>
-std::unique_ptr<Allocator> make_hier_deq() {
-  const EquiPartition prototype;
-  return std::make_unique<hier::HierarchicalAllocator>(Groups, prototype);
 }
 
 class AllocatorProperties : public ::testing::TestWithParam<AllocatorCase> {};
@@ -295,11 +283,7 @@ INSTANTIATE_TEST_SUITE_P(
         AllocatorCase{"faulty-equi-partition", &make_faulty_deq, true, true,
                       true},
         AllocatorCase{"faulty-round-robin", &make_faulty_rr, true, true,
-                      true},
-        AllocatorCase{"hier-1-deq", &make_hier_deq<1>, true, true, true},
-        AllocatorCase{"hier-4-deq", &make_hier_deq<4>, true, true, false},
-        AllocatorCase{"hier-16-deq", &make_hier_deq<16>, true, true,
-                      false}),
+                      true}),
     [](const auto& param_info) {
       std::string n = param_info.param.name;
       for (char& ch : n) {
@@ -375,57 +359,6 @@ TEST(FaultyAllocatorProperties, RevocationNeverBreaksConservativeness) {
       assigned += a[i];
     }
     ASSERT_LE(assigned + wrapped.last_revoked(), wrapped.pool(16));
-  }
-}
-
-TEST(HierarchicalAllocatorProperties, OneGroupEqualsFlatAllocator) {
-  // groups == 1 must be the flat allocator exactly, call for call, on the
-  // same stateful request stream — the tree's flat-equivalence contract.
-  util::Rng rng(606);
-  EquiPartition flat;
-  hier::HierarchicalAllocator tree(1, EquiPartition{});
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<int> requests;
-    const auto jobs = rng.uniform_int(1, 12);
-    for (int j = 0; j < jobs; ++j) {
-      requests.push_back(static_cast<int>(rng.uniform_int(0, 40)));
-    }
-    const int machine = static_cast<int>(rng.uniform_int(1, 32));
-    ASSERT_EQ(tree.allocate(requests, machine),
-              flat.allocate(requests, machine))
-        << "diverged at trial " << trial;
-  }
-}
-
-TEST(HierarchicalAllocatorProperties, FairnessHoldsWithinEachGroup) {
-  // Global fairness is traded away at groups > 1, but within one group the
-  // inner DEQ still guarantees it: a member strictly below another member
-  // of the *same group* (beyond the indivisible remainder) must have been
-  // fully satisfied.
-  util::Rng rng(8080);
-  for (const int groups : {4, 16}) {
-    hier::HierarchicalAllocator tree(groups, EquiPartition{});
-    for (int trial = 0; trial < 100; ++trial) {
-      std::vector<int> requests;
-      const auto jobs = rng.uniform_int(1, 40);
-      for (int j = 0; j < jobs; ++j) {
-        requests.push_back(static_cast<int>(rng.uniform_int(0, 30)));
-      }
-      const int machine = static_cast<int>(rng.uniform_int(1, 48));
-      const auto a = tree.allocate(requests, machine);
-      ASSERT_EQ(a.size(), requests.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        for (std::size_t k = 0; k < a.size(); ++k) {
-          const auto g = static_cast<std::size_t>(groups);
-          if (i % g != k % g || a[i] >= a[k] - 1) {
-            continue;
-          }
-          ASSERT_EQ(a[i], requests[i])
-              << groups << " groups: job " << i << " under-served vs "
-              << k << " in its own group";
-        }
-      }
-    }
   }
 }
 

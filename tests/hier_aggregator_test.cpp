@@ -1,7 +1,7 @@
-// Unit tests for the hierarchical allocation tree: desire roll-up, the
-// root split (sums to exactly P, rotating surplus spread), rebalance
-// accounting, and clone() state preservation — the contract the sharded
-// engine's determinism rests on.
+// Unit tests for the root of the hierarchical allocation tree: group
+// dealing, the root split (sums to exactly P, rotating surplus spread) and
+// the group-allocator names — the contract the sharded engine's
+// determinism rests on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,9 +9,7 @@
 #include <stdexcept>
 
 #include "alloc/equipartition.hpp"
-#include "alloc/round_robin.hpp"
 #include "hier/desire_aggregator.hpp"
-#include "hier/hierarchical_allocator.hpp"
 #include "util/rng.hpp"
 
 namespace abg::hier {
@@ -40,32 +38,6 @@ TEST(DesireAggregator, RejectsBadConstruction) {
   EXPECT_THROW(DesireAggregator(0, deq()), std::invalid_argument);
   EXPECT_THROW(DesireAggregator(-3, deq()), std::invalid_argument);
   EXPECT_THROW(DesireAggregator(2, nullptr), std::invalid_argument);
-}
-
-TEST(DesireAggregator, RollUpSumsPerGroup) {
-  DesireAggregator agg(3, deq());
-  // Jobs 0..6 dealt to groups 0,1,2,0,1,2,0.
-  const std::vector<int> desires = agg.roll_up({1, 2, 3, 4, 5, 6, 7});
-  ASSERT_EQ(desires.size(), 3u);
-  EXPECT_EQ(desires[0], 1 + 4 + 7);
-  EXPECT_EQ(desires[1], 2 + 5);
-  EXPECT_EQ(desires[2], 3 + 6);
-}
-
-TEST(DesireAggregator, RollUpOfShortVectorLeavesEmptyGroupsAtZero) {
-  DesireAggregator agg(4, deq());
-  const std::vector<int> desires = agg.roll_up({9, 8});
-  ASSERT_EQ(desires.size(), 4u);
-  EXPECT_EQ(desires[0], 9);
-  EXPECT_EQ(desires[1], 8);
-  EXPECT_EQ(desires[2], 0);
-  EXPECT_EQ(desires[3], 0);
-  EXPECT_EQ(sum(agg.roll_up({})), 0);
-}
-
-TEST(DesireAggregator, RollUpRejectsNegativeRequests) {
-  DesireAggregator agg(2, deq());
-  EXPECT_THROW(agg.roll_up({3, -1}), std::invalid_argument);
 }
 
 TEST(DesireAggregator, SplitBudgetsSumToExactlyTheMachine) {
@@ -125,132 +97,11 @@ TEST(DesireAggregator, SurplusSpreadRotates) {
   EXPECT_NE(first, second) << "surplus landed on the same groups twice";
 }
 
-TEST(DesireAggregator, CountsRebalancesAndResets) {
-  DesireAggregator agg(2, deq());
-  EXPECT_EQ(agg.rebalances(), 0);
-  agg.split({1, 2}, 8);
-  agg.split({1, 2}, 8);
-  EXPECT_EQ(agg.rebalances(), 2);
-  agg.reset();
-  EXPECT_EQ(agg.rebalances(), 0);
-  // Reset also rewinds the surplus rotation: the post-reset sequence
-  // replays the from-scratch sequence.
-  DesireAggregator fresh(2, deq());
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(agg.split({1, 1}, 9), fresh.split({1, 1}, 9)) << "split " << i;
-  }
-}
-
-TEST(DesireAggregator, ClonePreservesRotationState) {
-  DesireAggregator agg(3, deq());
-  agg.split({2, 2, 2}, 10);
-  agg.split({2, 2, 2}, 10);
-  const auto copy = agg.clone();
-  EXPECT_EQ(copy->groups(), agg.groups());
-  EXPECT_EQ(copy->rebalances(), agg.rebalances());
-  // The clone continues the exact allocation sequence.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(copy->split({2, 2, 2}, 10), agg.split({2, 2, 2}, 10))
-        << "diverged " << i << " splits after clone";
-  }
-}
-
 TEST(MakeGroupAllocator, KnownNamesAndRejection) {
   EXPECT_EQ(make_group_allocator("deq")->name(), "equi-partition");
   EXPECT_EQ(make_group_allocator("rr")->name(), "round-robin");
   EXPECT_THROW(make_group_allocator("greedy"), std::invalid_argument);
   EXPECT_THROW(make_group_allocator(""), std::invalid_argument);
-}
-
-TEST(HierarchicalAllocator, NameEncodesShape) {
-  const alloc::EquiPartition proto;
-  EXPECT_EQ(HierarchicalAllocator(4, proto).name(),
-            "hier-4-equi-partition");
-  EXPECT_EQ(HierarchicalAllocator(1, alloc::RoundRobin()).name(),
-            "hier-1-round-robin");
-  EXPECT_THROW(HierarchicalAllocator(0, proto), std::invalid_argument);
-}
-
-TEST(HierarchicalAllocator, OneGroupMatchesInnerAllocatorExactly) {
-  // Stateful equivalence: the same random request stream through the
-  // 1-group tree and through a bare allocator, including the rotation
-  // state both carry across calls.
-  for (const bool use_rr : {false, true}) {
-    std::unique_ptr<alloc::Allocator> flat =
-        use_rr ? std::unique_ptr<alloc::Allocator>(
-                     std::make_unique<alloc::RoundRobin>())
-               : std::make_unique<alloc::EquiPartition>();
-    HierarchicalAllocator tree(1, *flat);
-    util::Rng rng(77);
-    for (int trial = 0; trial < 200; ++trial) {
-      std::vector<int> requests;
-      const auto jobs = rng.uniform_int(1, 12);
-      for (int j = 0; j < jobs; ++j) {
-        requests.push_back(static_cast<int>(rng.uniform_int(0, 40)));
-      }
-      const int machine = static_cast<int>(rng.uniform_int(1, 32));
-      EXPECT_EQ(tree.allocate(requests, machine),
-                flat->allocate(requests, machine))
-          << (use_rr ? "rr" : "deq") << " diverged at trial " << trial;
-    }
-  }
-}
-
-TEST(HierarchicalAllocator, ScatterRestoresSubmissionOrder) {
-  // 2 groups: jobs 0,2 are group 0 and jobs 1,3 group 1.  Give group 0
-  // plenty and group 1 nothing to ask for, then check each flat slot got
-  // its own group's grant.
-  const alloc::EquiPartition proto;
-  HierarchicalAllocator tree(2, proto);
-  const std::vector<int> requests = {5, 0, 7, 0};
-  const std::vector<int> a = tree.allocate(requests, 12);
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a[0], 5);
-  EXPECT_EQ(a[1], 0);
-  EXPECT_EQ(a[2], 7);
-  EXPECT_EQ(a[3], 0);
-  ASSERT_EQ(tree.last_budgets().size(), 2u);
-  EXPECT_EQ(sum(tree.last_budgets()), 12);
-}
-
-TEST(HierarchicalAllocator, MoreGroupsThanJobsIsHarmless) {
-  const alloc::EquiPartition proto;
-  HierarchicalAllocator tree(8, proto);
-  const std::vector<int> a = tree.allocate({3, 4}, 16);
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a[0], 3);
-  EXPECT_EQ(a[1], 4);
-}
-
-TEST(HierarchicalAllocator, CountsRebalances) {
-  const alloc::EquiPartition proto;
-  HierarchicalAllocator tree(4, proto);
-  tree.allocate({1, 1, 1, 1}, 8);
-  tree.allocate({1, 1, 1, 1}, 8);
-  EXPECT_EQ(tree.rebalances(), 2);
-  tree.reset();
-  EXPECT_EQ(tree.rebalances(), 0);
-}
-
-TEST(HierarchicalAllocator, ClonePreservesTreeState) {
-  const alloc::RoundRobin proto;  // rotation-heavy: divergence shows fast
-  HierarchicalAllocator tree(3, proto);
-  util::Rng rng(13);
-  std::vector<int> requests(9, 4);
-  for (int warm = 0; warm < 5; ++warm) {
-    tree.allocate(requests, 7);
-  }
-  const auto copy = tree.clone();
-  EXPECT_EQ(copy->name(), tree.name());
-  for (int trial = 0; trial < 20; ++trial) {
-    for (int& r : requests) {
-      r = static_cast<int>(rng.uniform_int(0, 6));
-    }
-    const int machine = static_cast<int>(rng.uniform_int(1, 12));
-    EXPECT_EQ(copy->allocate(requests, machine),
-              tree.allocate(requests, machine))
-        << "clone diverged at trial " << trial;
-  }
 }
 
 }  // namespace

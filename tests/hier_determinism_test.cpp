@@ -1,23 +1,27 @@
 // Determinism contract of the sharded set engine: byte-identical results
 // at any worker-thread count and across repeated runs, flat equivalence at
-// one group, and clear rejection of the features the sharded engine does
+// one group, fairness within each group, and clear rejection of the features the sharded engine does
 // not model.  Also pins the sweep-layer JSONL: hier fields round-trip when
 // set and stay absent when the run is flat.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "alloc/equipartition.hpp"
 #include "alloc/hesrpt.hpp"
 #include "core/run.hpp"
+#include "dag/profile_job.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/runner.hpp"
 #include "fault/fault_plan.hpp"
+#include "hier/desire_aggregator.hpp"
 #include "sched/a_control.hpp"
 #include "sched/execution_policy.hpp"
 #include "sched/quantum_length.hpp"
@@ -25,6 +29,7 @@
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "workload/job_set.hpp"
+#include "workload/profiles.hpp"
 
 namespace abg::sim {
 namespace {
@@ -157,6 +162,61 @@ TEST(ShardedEngine, NamedGroupAllocatorRunsDeterministically) {
   config.hier.threads = 4;
   const SimResult pooled = run_hier(config);
   expect_results_identical(serial, pooled);
+}
+
+TEST(ShardedEngine, FairWithinEachGroup) {
+  // Global fairness is traded away at groups > 1 (a job in a contended
+  // group can get less than one in a quiet group), but each group's DEQ
+  // still divides its budget fairly: at any quantum start, a member more
+  // than one processor below another member of the same group must have
+  // been granted its full request.
+  for (const int groups : {2, 4}) {
+    for (const dag::Steps epoch : {1, 4}) {
+      SCOPED_TRACE(std::to_string(groups) + " groups, epoch " +
+                   std::to_string(epoch));
+      SimConfig config = hier_config(groups, 1, epoch);
+      config.processors = 64;
+      config.hier.allocator = "deq";
+      // Twelve jobs whose parallelism swings between 1 and 4..48, so each
+      // group holds several jobs at once, some below their fair share.
+      std::vector<JobSubmission> subs;
+      for (int j = 0; j < 12; ++j) {
+        JobSubmission s;
+        s.job = std::make_unique<dag::ProfileJob>(workload::square_wave_profile(
+            1, 30 + 10 * (j % 4), 4 + 4 * j, 60, 3));
+        s.release_step = static_cast<dag::Steps>(j % 3) * 50;
+        subs.push_back(std::move(s));
+      }
+      const SimResult result =
+          core::run_set(core::abg_spec(), std::move(subs), config);
+      // Start step -> every (job, quantum) starting there.
+      std::map<dag::Steps, std::vector<std::pair<std::size_t,
+                                                 sched::QuantumStats>>>
+          by_start;
+      for (std::size_t j = 0; j < result.jobs.size(); ++j) {
+        for (const sched::QuantumStats& q : result.jobs[j].quanta) {
+          by_start[q.start_step].emplace_back(j, q);
+        }
+      }
+      const auto g = static_cast<std::size_t>(groups);
+      std::int64_t unequal_pairs = 0;
+      for (const auto& [start, quanta] : by_start) {
+        for (const auto& [i, a] : quanta) {
+          for (const auto& [k, b] : quanta) {
+            if (hier::group_of(i, g) != hier::group_of(k, g) ||
+                a.allotment >= b.allotment - 1) {
+              continue;
+            }
+            ++unequal_pairs;
+            EXPECT_EQ(a.allotment, a.request)
+                << "step " << start << ": job " << i << " under-served vs "
+                << "job " << k << " of its own group";
+          }
+        }
+      }
+      EXPECT_GT(unequal_pairs, 0) << "no unequal pair; test is vacuous";
+    }
+  }
 }
 
 TEST(ShardedEngine, AllJobsCompleteAndConserveWork) {

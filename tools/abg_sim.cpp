@@ -78,6 +78,7 @@
 #include "alloc/hesrpt.hpp"
 #include "alloc/round_robin.hpp"
 #include "alloc/unconstrained.hpp"
+#include "cluster/cluster_spec.hpp"
 #include "core/run.hpp"
 #include "scenario/generators.hpp"
 #include "scenario/library.hpp"
@@ -618,17 +619,11 @@ int main(int argc, char** argv) {
 
     // Validate against the run's real capacity: a cluster run schedules
     // over every machine, not the per-machine --processors value.
-    int capacity = processors;
-    if (config.cluster.machines > 0) {
-      if (config.cluster.shapes.empty()) {
-        capacity = config.cluster.machines * processors;
-      } else {
-        capacity = 0;
-        for (const abg::sim::ClusterMachine& shape : config.cluster.shapes) {
-          capacity += shape.processors;
-        }
-      }
-    }
+    const int capacity =
+        config.cluster.machines > 0
+            ? abg::cluster::ClusterSpec::resolve(config, "abg_sim")
+                  .total_processors()
+            : processors;
     const abg::sim::ValidationReport validation =
         abg::sim::validate_result_report(result, capacity);
     for (const std::string& issue : validation.issues) {
