@@ -59,8 +59,8 @@ struct QuantumExecution {
 /// `level` has `remaining_in_level` tasks left, and every later level
 /// `l > level` has its full `(*widths)[l]` tasks left.  A null `widths`
 /// means the job has no closed form and engines must run it stepwise.
-/// The skip-ahead evaluator (sim/quantum_eval.hpp) consumes this view to
-/// compute whole-quantum outcomes without mutating the job.
+/// The async engine's stride planner (sim/quantum_eval.hpp) reads this
+/// view to find a job's next completion without mutating the job.
 struct PhaseView {
   const std::vector<TaskCount>* widths = nullptr;
   std::size_t level = 0;

@@ -55,6 +55,16 @@ int FaultInjector::allotment_cap(std::size_t job) const {
   return cap;
 }
 
+dag::Steps FaultInjector::next_change(dag::Steps bound) const {
+  if (next_ < plan_.events.size()) {
+    bound = std::min(bound, plan_.events[next_].step);
+  }
+  for (const Window& w : revocations_) {
+    bound = std::min(bound, w.end);
+  }
+  return bound;
+}
+
 void FaultInjector::reset() {
   next_ = 0;
   failed_ = 0;

@@ -54,6 +54,13 @@ class FaultInjector {
   /// True when any revocation window is currently active.
   bool revocation_active() const { return !revocations_.empty(); }
 
+  /// The first step at which advance() can change anything: the next
+  /// unconsumed event's step or the earliest end of a live revocation
+  /// window, capped at `bound`.  A revocation consumed late (its window
+  /// advanced past its step) can already have ended, so the result may
+  /// lie at or before the start of the last advanced window.
+  dag::Steps next_change(dag::Steps bound) const;
+
   const FaultPlan& plan() const { return plan_; }
 
   /// Rewinds to the start of the plan.

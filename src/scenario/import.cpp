@@ -1,8 +1,8 @@
 #include "scenario/import.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 #include "dag/profile_job.hpp"
@@ -117,19 +117,6 @@ ScenarioSpec import_trace(std::istream& in, const std::string& default_name) {
                    });
   spec.validate();
   return spec;
-}
-
-ScenarioSpec import_trace_file(const std::string& path,
-                               const std::string& default_name) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("scenario: cannot open " + path);
-  }
-  try {
-    return import_trace(in, default_name);
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(path + ": " + e.what());
-  }
 }
 
 void export_trace(std::ostream& out, const ScenarioSpec& spec,

@@ -29,10 +29,6 @@ namespace abg::scenario {
 /// Throws std::invalid_argument naming the offending line.
 ScenarioSpec import_trace(std::istream& in, const std::string& default_name);
 
-/// import_trace from a file; throws std::runtime_error when unreadable.
-ScenarioSpec import_trace_file(const std::string& path,
-                               const std::string& default_name);
-
 /// Materializes `spec` under `rng` (resolving machine-relative defaults
 /// against `processors` / `quantum`) and writes the generated jobs as a
 /// JSONL trace, header first.

@@ -678,11 +678,6 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
       st.quantum_policy->reset();
     }
   }
-  // Stride planning applies only when every step of the span is
-  // event-free, which a fault plan cannot guarantee: its windows are
-  // consumed per unit step, so a faulty run is driven stepwise.
-  const bool skip_ahead = config.skip_ahead && !faulty;
-
   SimResult result;
   result.averaged_allotments = true;
   if (faulty) {
@@ -750,10 +745,11 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
 
   while (remaining > 0) {
     util::throw_if_cancelled(config.cancel, config.context);
-    // Consume fault events for the unit step [now, now + 1).  Events in
-    // ranges skipped by the idle fast-path are consumed lazily on the
-    // next iteration, which is sound: failures/repairs net out and a
-    // crash can only hit an active job.
+    // Consume fault events for the unit step [now, now + 1).  Strides end
+    // at the next event step, so none falls inside one.  Events in ranges
+    // skipped by the idle fast-path are consumed lazily on the next
+    // iteration, which is sound: failures/repairs net out and a crash can
+    // only hit an active job.
     if (faulty) {
       const fault::WindowFaults window = session->injector.advance(now, now + 1);
       log_window_events(window, log, bus);
@@ -883,13 +879,10 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
 
     // Plan the stride: the longest span guaranteed event-free, so jumping
     // it wholesale is indistinguishable from running it step by step.
-    // Unit steps (stride 1 through the stepwise body) whenever closed
-    // form does not apply: fault plans (handled above via skip_ahead) or
-    // an active job without a phase view.
+    // Unit strides in the reference mode (skip_ahead off) and whenever an
+    // active job has no phase view.
     dag::Steps stride = 1;
-    bool batched = false;
-    if (skip_ahead) {
-      batched = true;
+    if (config.skip_ahead) {
       stride = max_steps - now;  // the bound check below fires on time
       for (const std::size_t i : active) {
         JobRuntime& st = batch.jobs[i];
@@ -897,7 +890,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
         stride = std::min(stride, st.quantum_target - st.quantum_elapsed);
         const dag::PhaseView view = st.job->phase_view();
         if (view.widths == nullptr) {
-          batched = false;
+          stride = 1;
           break;
         }
         // Next completion: migration debt delays execution, then the
@@ -913,76 +906,52 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
           }
         }
       }
-      if (batched && active.size() < config.max_active) {
+      if (active.size() < config.max_active) {
         // Next admission: every queued job becomes eligible strictly in
         // the future (the drain above admitted the rest).  At the cap this
         // cannot constrain the stride — a slot only frees at a completion,
         // which already bounds it.
         stride = index.next_eligible(batch, now + stride) - now;
       }
-      if (!batched) {
-        stride = 1;
+      if (faulty) {
+        // Next fault event or revocation expiry.  A revocation consumed
+        // late, after an idle skip, can have ended already; the unit step
+        // then lets the next window erase it and repartition.
+        stride = std::max<dag::Steps>(
+            1, session->injector.next_change(now + stride) - now);
       }
       assert(stride >= 1);
     }
 
-    if (batched) {
-      // Advance every active job by the stride in closed form.  The
-      // planner guarantees no job finishes strictly inside the span, so
-      // run_quantum consumes it fully; accounting matches the stepwise
-      // body summed over `stride` iterations.
-      for (const std::size_t i : active) {
-        JobRuntime& st = batch.jobs[i];
-        const int allot = batch.allotment[i];
-        const dag::Steps debt = std::min(stride, st.migration_debt);
-        if (debt > 0) {
-          // Migration steps: the job holds its allotment but executes
-          // nothing, so the cycles land in idle_cycles (waste).
-          st.migration_debt -= debt;
-          const dag::TaskCount held =
-              mul_cycles_checked(allot, debt, config.context);
-          add_cycles_checked(st.held_cycles, held, config.context);
-          add_cycles_checked(st.idle_cycles, held, config.context);
-          st.idle_steps += debt;
-        }
-        const dag::Steps run = stride - debt;
-        if (run > 0) {
-          const dag::QuantumExecution exec =
-              st.job->run_quantum(allot, run, execution.order());
-          assert(exec.steps == run);
-          const dag::TaskCount held =
-              mul_cycles_checked(allot, run, config.context);
-          add_cycles_checked(st.held_cycles, held, config.context);
-          add_cycles_checked(st.idle_cycles, held - exec.work,
-                             config.context);
-          st.idle_steps += exec.idle_steps;
-        }
-        st.quantum_elapsed += stride;
+    // Advance every active job by the stride in closed form.  The planner
+    // guarantees no job finishes strictly inside the span, so run_quantum
+    // consumes it fully; a unit stride is exactly one step().
+    for (const std::size_t i : active) {
+      JobRuntime& st = batch.jobs[i];
+      const int allot = batch.allotment[i];
+      const dag::Steps debt = std::min(stride, st.migration_debt);
+      if (debt > 0) {
+        // Migration steps: the job holds its allotment but executes
+        // nothing, so the cycles land in idle_cycles (waste).
+        st.migration_debt -= debt;
+        const dag::TaskCount held =
+            mul_cycles_checked(allot, debt, config.context);
+        add_cycles_checked(st.held_cycles, held, config.context);
+        add_cycles_checked(st.idle_cycles, held, config.context);
+        st.idle_steps += debt;
       }
-    } else {
-      // One unit step for every active job.
-      for (const std::size_t i : active) {
-        JobRuntime& st = batch.jobs[i];
-        dag::TaskCount done = 0;
-        if (st.migration_debt > 0) {
-          // A migration step: the job holds its allotment but executes
-          // nothing, so the cycles land in idle_cycles (waste) and the
-          // quantum cannot be full.
-          --st.migration_debt;
-        } else {
-          done = st.job->step(batch.allotment[i], execution.order());
-        }
-        ++st.quantum_elapsed;
-        add_cycles_checked(st.held_cycles, batch.allotment[i],
-                           config.context);
-        add_cycles_checked(
-            st.idle_cycles,
-            static_cast<dag::TaskCount>(batch.allotment[i]) - done,
-            config.context);
-        if (done == 0) {
-          ++st.idle_steps;
-        }
+      const dag::Steps run = stride - debt;
+      if (run > 0) {
+        const dag::QuantumExecution exec =
+            st.job->run_quantum(allot, run, execution.order());
+        assert(exec.steps == run);
+        const dag::TaskCount held =
+            mul_cycles_checked(allot, run, config.context);
+        add_cycles_checked(st.held_cycles, held, config.context);
+        add_cycles_checked(st.idle_cycles, held - exec.work, config.context);
+        st.idle_steps += exec.idle_steps;
       }
+      st.quantum_elapsed += stride;
     }
     now += stride;
     result.quanta += stride;  // counts unit steps of engine activity

@@ -40,8 +40,12 @@
 //     the driver plans the distance to the next event (quantum boundary,
 //     completion, admission eligibility, step bound) and advances all
 //     active jobs by that stride in closed form (sim/quantum_eval.hpp) —
-//     O(events + phase transitions) instead of O(steps) — falling back to
-//     unit steps under fault plans and for jobs without a phase view.
+//     O(events + phase transitions) instead of O(steps).  A fault plan is
+//     a finite list of event steps, so its next event (or revocation
+//     expiry) bounds the stride like any other event.  The stride is one
+//     step while any active job lacks a phase view, and a unit stride
+//     runs through the same advance (run_quantum for one step is one
+//     step()).
 //     Reallocation penalties are charged as *migration debt*: each
 //     repartition that moves a job's processors adds cost·|Δa| pending
 //     migration steps (capped at the quantum length) during which the job
@@ -126,10 +130,10 @@ struct CoreConfig {
   /// Null — the default — costs one pointer test per boundary.
   const util::CancelToken* cancel = nullptr;
   /// Per-job driver only: advance in closed-form strides between events
-  /// (sim/quantum_eval.hpp) instead of unit steps.  Outputs are identical
-  /// either way — the differential tests pin it — so false exists as the
-  /// reference mode for those tests and for debugging, not as a feature
-  /// switch.  Fault plans force unit steps regardless.
+  /// (sim/quantum_eval.hpp) instead of unit strides.  Outputs are
+  /// identical either way — the differential tests pin it, fault plans
+  /// included — so false exists as the reference mode for those tests and
+  /// for debugging, not as a feature switch.
   bool skip_ahead = true;
 };
 
@@ -254,10 +258,11 @@ void summarize_result(SimResult& result);
 
 /// Drives `batch` to completion with per-job quantum boundaries and
 /// repartition-on-every-event.  Time advances in planned strides: between
-/// events (boundaries, completions, admissions, repartitions) the system
-/// is closed-form for phase-structured jobs, so the driver jumps whole
-/// event-free spans at once (config.skip_ahead) and falls back to unit
-/// steps under faults or for jobs without a phase view.  Sets
+/// events (boundaries, completions, admissions, repartitions, fault
+/// events and revocation expiries) the system is closed-form for
+/// phase-structured jobs, so the driver jumps whole event-free spans at
+/// once (config.skip_ahead), one step at a time while an active job has
+/// no phase view.  Sets
 /// SimResult::averaged_allotments; `SimResult::quanta` counts unit steps
 /// of engine activity (identical under either advance mode).
 SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,

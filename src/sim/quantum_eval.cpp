@@ -4,78 +4,6 @@
 
 namespace abg::sim::quantum_eval {
 
-namespace {
-
-double fractional_progress(const dag::PhaseView& view, std::size_t level,
-                           dag::TaskCount remaining) {
-  const auto levels = view.widths->size();
-  if (level >= levels) {
-    return static_cast<double>(levels);
-  }
-  const double frac = 1.0 - static_cast<double>(remaining) /
-                                static_cast<double>((*view.widths)[level]);
-  return static_cast<double>(level) + frac;
-}
-
-}  // namespace
-
-PhaseOutcome evaluate_quantum(const dag::PhaseView& view, int procs,
-                              dag::Steps budget) {
-  if (view.widths == nullptr) {
-    throw std::invalid_argument("evaluate_quantum: job has no phase view");
-  }
-  if (procs < 0 || budget < 0) {
-    throw std::invalid_argument(
-        "evaluate_quantum: negative procs or budget");
-  }
-  const std::vector<dag::TaskCount>& widths = *view.widths;
-  std::size_t level = view.level;
-  dag::TaskCount remaining = view.remaining_in_level;
-
-  PhaseOutcome out;
-  out.end_level = level;
-  out.end_remaining = remaining;
-  const bool finished_before = level >= widths.size();
-  const double progress_before = fractional_progress(view, level, remaining);
-  if (procs == 0) {
-    // No processors: the quantum elapses with no progress (a finished job
-    // consumes nothing).
-    out.steps_used = finished_before ? 0 : budget;
-    out.idle_steps = out.steps_used;
-    out.finished = finished_before;
-    return out;
-  }
-  dag::Steps left = budget;
-  while (left > 0 && level < widths.size()) {
-    // Steps to drain the current level at `procs` tasks per step; the
-    // barrier keeps the final partial step from spilling into the next
-    // level.
-    const auto need = static_cast<dag::Steps>((remaining + procs - 1) / procs);
-    if (need <= left) {
-      out.work += remaining;
-      left -= need;
-      out.steps_used += need;
-      ++out.phases_crossed;
-      ++level;
-      remaining = level < widths.size() ? widths[level] : 0;
-    } else {
-      const dag::TaskCount done = static_cast<dag::TaskCount>(left) * procs;
-      remaining -= done;  // done < remaining since need > left
-      out.work += done;
-      out.steps_used += left;
-      left = 0;
-    }
-  }
-  out.end_level = level;
-  out.end_remaining = remaining;
-  out.finished = level >= widths.size();
-  out.cpl = fractional_progress(view, level, remaining) - progress_before;
-  out.held_cycles =
-      static_cast<dag::TaskCount>(procs) * out.steps_used;
-  out.idle_cycles = out.held_cycles - out.work;
-  return out;
-}
-
 dag::Steps steps_to_finish(const dag::PhaseView& view, int procs,
                            dag::Steps cap) {
   if (view.widths == nullptr) {
@@ -103,10 +31,6 @@ dag::Steps steps_to_finish(const dag::PhaseView& view, int procs,
     remaining = level < widths.size() ? widths[level] : 0;
   }
   return steps;
-}
-
-bool supports_skip_ahead(const dag::Job& job) {
-  return job.phase_view().widths != nullptr;
 }
 
 sched::QuantumStats run_allotted_quantum(

@@ -180,11 +180,11 @@ struct SimConfig {
   /// outlive the simulation call.
   const util::CancelToken* cancel = nullptr;
   /// Async engine only: advance in closed-form strides between events
-  /// instead of unit steps (see sim/quantum_eval.hpp).  Results are
-  /// byte-identical either way — false is the stepwise reference mode for
-  /// the differential tests, not a feature switch.  Fault plans force
-  /// unit steps regardless.  The sync engine executes whole quanta in
-  /// closed form already and ignores this field.
+  /// instead of unit strides (see sim/quantum_eval.hpp).  Results are
+  /// byte-identical either way, fault plans included — false is the
+  /// unit-stride reference mode for the differential tests, not a feature
+  /// switch.  The sync engine executes whole quanta in closed form
+  /// already and ignores this field.
   bool skip_ahead = true;
 
   /// check_machine, then check_composition(axes_of(*this)); every closed

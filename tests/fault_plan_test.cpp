@@ -191,6 +191,37 @@ TEST(FaultInjector, ZeroDurationRevocationLastsOneWindow) {
   EXPECT_EQ(injector.allotment_cap(0), std::numeric_limits<int>::max());
 }
 
+TEST(FaultInjector, NextChangeIsTheNextEventOrWindowEnd) {
+  FaultPlan plan;
+  FaultEvent revoke;
+  revoke.step = 10;
+  revoke.kind = FaultKind::kAllotmentRevocation;
+  revoke.job = 0;
+  revoke.cap = 1;
+  revoke.duration = 5;  // active over [10, 15)
+  plan.events.push_back(revoke);
+  FaultEvent fail;
+  fail.step = 40;
+  fail.kind = FaultKind::kProcessorFailure;
+  plan.events.push_back(fail);
+  FaultInjector injector(plan);
+
+  EXPECT_EQ(injector.next_change(100), 10);  // the revocation's step
+  EXPECT_EQ(injector.next_change(7), 7);     // capped at the bound
+  injector.advance(10, 11);
+  EXPECT_EQ(injector.next_change(100), 15);  // the window's end
+  injector.advance(15, 16);
+  EXPECT_EQ(injector.next_change(100), 40);  // the failure's step
+  injector.advance(40, 41);
+  EXPECT_EQ(injector.next_change(100), 100);  // plan exhausted
+
+  // Consumed late, the revocation's window has already ended: the next
+  // change lies before the advanced window's start.
+  FaultInjector late(plan);
+  late.advance(20, 21);
+  EXPECT_EQ(late.next_change(100), 15);
+}
+
 TEST(FaultInjector, ResetRewindsThePlan) {
   FaultInjector injector(step_failure_plan(0, 4));
   injector.advance(0, 100);

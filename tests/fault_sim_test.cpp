@@ -4,6 +4,7 @@
 // accounting balance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -360,6 +361,71 @@ TEST(FaultSim, CrashesUnderAdaptiveQuantumLengthArePinned) {
     EXPECT_EQ(trace_fingerprint(result), c.fingerprint)
         << std::hex << "0x" << trace_fingerprint(result) << std::dec
         << " quanta " << result.quanta << " makespan " << result.makespan;
+  }
+}
+
+/// Keeps a fixed quantum length and records every input it is handed.
+class RecordingQuantumLength final : public sched::QuantumLengthPolicy {
+ public:
+  RecordingQuantumLength(dag::Steps length,
+                         std::vector<sched::QuantumStats>* inputs)
+      : length_(length), inputs_(inputs) {}
+
+  dag::Steps initial_length() const override { return length_; }
+  dag::Steps next_length(const sched::QuantumStats& completed) override {
+    inputs_->push_back(completed);
+    return length_;
+  }
+  void reset() override {}
+  std::string_view name() const override { return "recording"; }
+  std::unique_ptr<sched::QuantumLengthPolicy> clone() const override {
+    return std::make_unique<RecordingQuantumLength>(*this);
+  }
+
+ private:
+  dag::Steps length_;
+  std::vector<sched::QuantumStats>* inputs_;
+};
+
+TEST(FaultSim, CrashedQuantumFeedsTheLengthPolicyTheMachineAggregate) {
+  // The sync loop hands its quantum-length policy the sole job's stats
+  // when exactly one job ran the quantum, but a crash-voided record never
+  // stands in for it: the crashed quantum reads as the machine aggregate,
+  // whether the victim ran alone or beside another job.  Adaptive
+  // policies read zero work as "no measurement", so only a recording
+  // policy can tell the two apart.
+  for (const int jobs : {1, 2}) {
+    fault::FaultPlan plan = fault::periodic_crash_plan(0, 25, 1000, 1);
+    std::vector<sched::QuantumStats> inputs;
+    RecordingQuantumLength lengths(10, &inputs);
+    SimConfig config = base_config();
+    config.quantum_length_policy = &lengths;
+    config.faults = &plan;
+    const SimResult result = run_sync(config, jobs);
+    ASSERT_EQ(result.fault_log.crashes.size(), 1u) << jobs << " jobs";
+
+    // The crash at step 25 voids the quantum [20, 30); under checkpoint
+    // recovery its record stays in the victim's trace.
+    const auto at_crash = [](const sched::QuantumStats& s) {
+      return s.start_step == 20;
+    };
+    const auto input = std::find_if(inputs.begin(), inputs.end(), at_crash);
+    ASSERT_NE(input, inputs.end()) << jobs << " jobs";
+    dag::TaskCount work = 0;
+    int allotment = 0;
+    for (const JobTrace& trace : result.jobs) {
+      const auto record =
+          std::find_if(trace.quanta.begin(), trace.quanta.end(), at_crash);
+      ASSERT_NE(record, trace.quanta.end()) << jobs << " jobs";
+      work += record->work;
+      allotment += record->allotment;
+    }
+    EXPECT_EQ(input->steps_used, 10) << jobs << " jobs";
+    EXPECT_EQ(input->length, 10) << jobs << " jobs";
+    EXPECT_EQ(input->available, 16) << jobs << " jobs";
+    EXPECT_EQ(input->work, work) << jobs << " jobs";
+    EXPECT_EQ(input->allotment, allotment) << jobs << " jobs";
+    EXPECT_FALSE(input->full) << jobs << " jobs";
   }
 }
 

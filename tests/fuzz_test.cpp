@@ -22,7 +22,9 @@
 #include "dag/builders.hpp"
 #include "dag/dag_job.hpp"
 #include "dag/profile_job.hpp"
+#include "fault/fault_plan.hpp"
 #include "open/streaming_engine.hpp"
+#include "random_fault_plan.hpp"
 #include "sim/validate.hpp"
 #include "steal/schedulers.hpp"
 #include "steal/work_stealing_job.hpp"
@@ -209,6 +211,19 @@ TEST_P(Fuzz, JobSetResultsAlwaysValidate) {
       // quantum consumed by reallocation); that regime is exercised
       // deliberately in overhead_test, not fuzzed.
       config.reallocation_cost_per_proc = 0;
+    }
+    // The flat drivers draw a fault plan in three trials of four, from a
+    // stream of its own so every draw above keeps its value.
+    fault::FaultPlan plan;
+    util::Rng fault_rng(
+        util::Rng::derive_seed(GetParam() ^ 0xFA17ULL,
+                               static_cast<std::uint64_t>(trial)));
+    if (config.hier.groups == 0 && config.cluster.machines == 0 &&
+        fault_rng.bernoulli(0.75)) {
+      plan = test::random_fault_plan(fault_rng, static_cast<int>(jobs),
+                                     processors, 300);
+      config.faults = &plan;
+      driver += " faulted";
     }
     const sim::SimResult result =
         core::run_set(spec, std::move(subs), config, allocator.get());

@@ -1,9 +1,9 @@
-// The skip-ahead evaluator contract (sim/quantum_eval.hpp): the
-// closed-form quantum outcome must agree with ProfileJob's own executor —
-// and, transitively, with the stepwise base-class loop ProfileJob is
-// property-tested against — on every field, for any (profile, allotment,
-// budget).  Plus the overflow guards on the engines' cycle accumulators:
-// near-limit values must throw std::overflow_error instead of wrapping.
+// The skip-ahead helpers (sim/quantum_eval.hpp): steps_to_finish must
+// agree with ProfileJob's own executor — and, transitively, with the
+// stepwise base-class loop ProfileJob is property-tested against — and
+// run_allotted_quantum must stamp the engines' shared convention.  Plus
+// the overflow guards on the engines' cycle accumulators: near-limit
+// values must throw std::overflow_error instead of wrapping.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,8 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "dag/dag_job.hpp"
-#include "dag/builders.hpp"
 #include "dag/profile_job.hpp"
 #include "sched/execution_policy.hpp"
 #include "sim/job_runtime.hpp"
@@ -32,67 +30,9 @@ std::vector<dag::TaskCount> random_profile(util::Rng& rng) {
   return widths;
 }
 
-/// evaluate_quantum against ProfileJob::run_quantum from the same
-/// position, over randomized profiles, allotments and budgets — including
-/// mid-level starting positions reached by a prior partial quantum.
-TEST(QuantumEvalTest, MatchesProfileJobExecutorEverywhere) {
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    util::Rng rng(util::Rng::derive_seed(991, seed));
-    dag::ProfileJob job(random_profile(rng));
-    while (!job.finished()) {
-      const int procs = static_cast<int>(rng.uniform_int(0, 9));
-      const auto budget = static_cast<dag::Steps>(rng.uniform_int(1, 25));
-      const PhaseOutcome out =
-          evaluate_quantum(job.phase_view(), procs, budget);
-      const dag::QuantumExecution exec =
-          job.run_quantum(procs, budget, dag::PickOrder::kBreadthFirst);
-      ASSERT_EQ(out.work, exec.work) << "seed " << seed;
-      ASSERT_DOUBLE_EQ(out.cpl, exec.cpl) << "seed " << seed;
-      ASSERT_EQ(out.steps_used, exec.steps) << "seed " << seed;
-      ASSERT_EQ(out.idle_steps, exec.idle_steps) << "seed " << seed;
-      ASSERT_EQ(out.finished, exec.finished) << "seed " << seed;
-      // The predicted end position must be the job's actual position.
-      const dag::PhaseView after = job.phase_view();
-      ASSERT_EQ(out.end_level, after.level) << "seed " << seed;
-      if (!out.finished) {
-        ASSERT_EQ(out.end_remaining, after.remaining_in_level)
-            << "seed " << seed;
-      }
-      ASSERT_EQ(out.held_cycles,
-                static_cast<dag::TaskCount>(procs) * out.steps_used);
-      ASSERT_EQ(out.idle_cycles, out.held_cycles - out.work);
-      if (procs == 0) {
-        break;  // no progress possible; stop this job
-      }
-    }
-  }
-}
-
-TEST(QuantumEvalTest, ZeroAllotmentIdlesTheBudget) {
-  dag::ProfileJob job(workload::constant_profile(3, 5));
-  const PhaseOutcome out = evaluate_quantum(job.phase_view(), 0, 17);
-  EXPECT_EQ(out.steps_used, 17);
-  EXPECT_EQ(out.idle_steps, 17);
-  EXPECT_EQ(out.work, 0);
-  EXPECT_EQ(out.held_cycles, 0);
-  EXPECT_FALSE(out.finished);
-}
-
-TEST(QuantumEvalTest, PhasesCrossedCountsBarriers) {
-  // Three levels of width 6 at 3 procs: 2 steps per level.
-  dag::ProfileJob job(workload::constant_profile(6, 3));
-  const PhaseOutcome out = evaluate_quantum(job.phase_view(), 3, 4);
-  EXPECT_EQ(out.phases_crossed, 2);
-  EXPECT_EQ(out.work, 12);
-  EXPECT_FALSE(out.finished);
-  const PhaseOutcome all = evaluate_quantum(job.phase_view(), 3, 100);
-  EXPECT_EQ(all.phases_crossed, 3);
-  EXPECT_EQ(all.steps_used, 6);
-  EXPECT_TRUE(all.finished);
-}
-
 /// steps_to_finish is exact: running that many steps finishes the job,
-/// one fewer does not.
+/// one fewer does not.  The oracle is ProfileJob's own executor, run on
+/// fresh clones so the planner's view stays at the start.
 TEST(QuantumEvalTest, StepsToFinishIsExact) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     util::Rng rng(util::Rng::derive_seed(992, seed));
@@ -102,13 +42,14 @@ TEST(QuantumEvalTest, StepsToFinishIsExact) {
     const dag::Steps fin = steps_to_finish(job.phase_view(), procs, cap);
     ASSERT_LE(fin, cap) << "seed " << seed;
     if (fin > 1) {
-      const PhaseOutcome before =
-          evaluate_quantum(job.phase_view(), procs, fin - 1);
+      const dag::QuantumExecution before = job.fresh_clone()->run_quantum(
+          procs, fin - 1, dag::PickOrder::kBreadthFirst);
       ASSERT_FALSE(before.finished) << "seed " << seed;
     }
-    const PhaseOutcome at = evaluate_quantum(job.phase_view(), procs, fin);
+    const dag::QuantumExecution at = job.fresh_clone()->run_quantum(
+        procs, fin, dag::PickOrder::kBreadthFirst);
     ASSERT_TRUE(at.finished) << "seed " << seed;
-    ASSERT_EQ(at.steps_used, fin) << "seed " << seed;
+    ASSERT_EQ(at.steps, fin) << "seed " << seed;
   }
 }
 
@@ -121,14 +62,6 @@ TEST(QuantumEvalTest, StepsToFinishCapAndEdgeCases) {
   // Finished job needs zero steps.
   dag::ProfileJob done(std::vector<dag::TaskCount>{});
   EXPECT_EQ(steps_to_finish(done.phase_view(), 3, 5), 0);
-}
-
-TEST(QuantumEvalTest, SupportsSkipAheadDispatch) {
-  dag::ProfileJob profile(workload::constant_profile(2, 3));
-  EXPECT_TRUE(supports_skip_ahead(profile));
-  dag::DagJob dag_job(
-      dag::builders::barrier_profile(workload::constant_profile(2, 3)));
-  EXPECT_FALSE(supports_skip_ahead(dag_job));
 }
 
 /// run_allotted_quantum: a penalty >= length voids the quantum (no

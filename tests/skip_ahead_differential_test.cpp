@@ -1,12 +1,12 @@
 // Differential suite for the skip-ahead engines: the stride-planned async
 // driver (SimConfig::skip_ahead = true, the default) must produce traces
-// BYTE-IDENTICAL to the stepwise reference driver (skip_ahead = false) on
-// randomized job sets across the whole feature matrix — quantum-length
-// policies, reallocation overhead, admission caps, staggered releases —
-// and a job without a phase view must take the stepwise fallback
-// transparently, inside a batch that otherwise skips ahead.  "Byte
-// identical" is checked on the serialized CSV traces (sim/trace_io.hpp),
-// the same serialization the golden fixtures pin.
+// BYTE-IDENTICAL to the unit-stride reference driver (skip_ahead = false)
+// on randomized job sets across the whole feature matrix — quantum-length
+// policies, reallocation overhead, admission caps, staggered releases and
+// fault plans — and a job without a phase view must drop its batch to
+// unit strides transparently.  "Byte identical" is checked on the
+// serialized CSV traces (sim/trace_io.hpp), the same serialization the
+// golden fixtures pin, plus the fault log of a faulted run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include "alloc/equipartition.hpp"
 #include "dag/profile_job.hpp"
 #include "fault/fault_plan.hpp"
+#include "random_fault_plan.hpp"
 #include "sched/a_control.hpp"
 #include "sched/execution_policy.hpp"
 #include "sched/quantum_length.hpp"
@@ -33,7 +34,7 @@ namespace {
 
 /// A ProfileJob with its closed form hidden: no phase view, and the
 /// generic stepwise run_quantum.  Behaviourally identical to the wrapped
-/// profile, so it drives the engines' stepwise fallback with known-good
+/// profile, so it drives the async engine's unit strides with known-good
 /// semantics.
 class OpaqueProfileJob final : public dag::Job {
  public:
@@ -103,6 +104,24 @@ std::string serialize(const SimResult& result) {
   os << "makespan=" << result.makespan << " quanta=" << result.quanta
      << " waste=" << result.total_waste
      << " mrt=" << result.mean_response_time << "\n";
+  const fault::FaultLog& log = result.fault_log;
+  if (log.enabled) {
+    for (const fault::CrashRecord& c : log.crashes) {
+      os << "crash job=" << c.job << " step=" << c.step
+         << " lost=" << c.lost_work << " discarded=" << c.discarded_cycles
+         << "\n";
+    }
+    os << "disturbances=";
+    for (const dag::Steps step : log.disturbance_steps) {
+      os << step << ",";
+    }
+    os << " failures=" << log.failure_events
+       << " repairs=" << log.repair_events
+       << " revocations=" << log.revocation_events
+       << " min_capacity=" << log.min_capacity
+       << " allotted=" << log.allotted_cycles << " lost=" << log.lost_work
+       << " discarded=" << log.discarded_cycles << "\n";
+  }
   return os.str();
 }
 
@@ -190,8 +209,8 @@ TEST(SkipAheadDifferentialTest, OpaqueJobsForceStepwiseFallback) {
 }
 
 TEST(SkipAheadDifferentialTest, FaultPlansForceStepwise) {
-  // With a fault plan both modes must take the identical stepwise path —
-  // skip_ahead is documented as a no-op under faults.
+  // A fault plan bounds the strides at its event steps: the strided run
+  // must match the unit-step reference, fault log included.
   fault::FaultPlan plan;
   fault::FaultEvent fail;
   fail.step = 40;
@@ -216,6 +235,138 @@ TEST(SkipAheadDifferentialTest, FaultPlansForceStepwise) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     expect_modes_identical(seed, config, 5);
   }
+}
+
+TEST(SkipAheadDifferentialTest, FaultPlansStrideLikeUnitSteps) {
+  // Random faulted runs: strides bounded by the plan's next event step or
+  // revocation expiry must reproduce the unit-step reference byte for
+  // byte.  Staggered releases leave idle gaps, so revocations are often
+  // consumed late with their window already over; the strided run must
+  // then take one unit step, as the reference does, before the expiry
+  // repartitions.
+  sched::AdaptiveQuantumConfig qc;
+  qc.min_length = 4;
+  qc.max_length = 64;
+  sched::AdaptiveQuantumLength policy(qc);
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    util::Rng rng(util::Rng::derive_seed(5151, seed));
+    const auto jobs = static_cast<std::size_t>(rng.uniform_int(2, 7));
+    SimConfig config;
+    config.processors = static_cast<int>(rng.uniform_int(2, 24));
+    config.quantum_length = rng.uniform_int(3, 40);
+    if (rng.bernoulli(0.3)) {
+      config.max_active_jobs = static_cast<int>(rng.uniform_int(1, 3));
+    }
+    if (rng.bernoulli(0.3)) {
+      config.reallocation_cost_per_proc = 1;
+    }
+    if (rng.bernoulli(0.3)) {
+      config.quantum_length_policy = &policy;
+    }
+    const bool opaque_mix = rng.bernoulli(0.25);
+    const fault::FaultPlan plan = test::random_fault_plan(
+        rng, static_cast<int>(jobs), config.processors, 400);
+    config.faults = &plan;
+    expect_modes_identical(seed, config, jobs, opaque_mix);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+/// Forwards to an inner job and counts run_quantum and step calls.
+class CountingJob final : public dag::Job {
+ public:
+  CountingJob(std::unique_ptr<dag::Job> inner, std::int64_t* calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+
+  bool finished() const override { return inner_->finished(); }
+  dag::TaskCount step(int procs, dag::PickOrder order) override {
+    ++*calls_;
+    return inner_->step(procs, order);
+  }
+  dag::QuantumExecution run_quantum(int procs, dag::Steps budget,
+                                    dag::PickOrder order) override {
+    ++*calls_;
+    return inner_->run_quantum(procs, budget, order);
+  }
+  dag::TaskCount total_work() const override { return inner_->total_work(); }
+  dag::Steps critical_path() const override {
+    return inner_->critical_path();
+  }
+  dag::TaskCount completed_work() const override {
+    return inner_->completed_work();
+  }
+  double level_progress() const override { return inner_->level_progress(); }
+  dag::TaskCount ready_count() const override {
+    return inner_->ready_count();
+  }
+  dag::PhaseView phase_view() const override { return inner_->phase_view(); }
+  std::unique_ptr<dag::Job> fresh_clone() const override {
+    return std::make_unique<CountingJob>(inner_->fresh_clone(), calls_);
+  }
+
+ private:
+  std::unique_ptr<dag::Job> inner_;
+  std::int64_t* calls_;
+};
+
+TEST(SkipAheadDifferentialTest, FaultedRunsAdvanceInStrides) {
+  // A faulted run at a long quantum advances each job once per event, not
+  // once per step: far fewer job calls than simulated job-steps.
+  fault::FaultPlan plan = fault::periodic_crash_plan(1, 250, 700, 2);
+  plan.work_loss = fault::WorkLoss::kRestartFromScratch;
+  for (const dag::Steps step : {150, 900}) {
+    fault::FaultEvent fail;
+    fail.step = step;
+    fail.kind = fault::FaultKind::kProcessorFailure;
+    fail.processors = 4;
+    plan.events.push_back(fail);
+    fault::FaultEvent repair = fail;
+    repair.step = step + 300;
+    repair.kind = fault::FaultKind::kProcessorRepair;
+    plan.events.push_back(repair);
+  }
+  fault::FaultEvent revoke;
+  revoke.step = 400;
+  revoke.kind = fault::FaultKind::kAllotmentRevocation;
+  revoke.job = 0;
+  revoke.cap = 2;
+  revoke.duration = 200;
+  plan.events.push_back(revoke);
+
+  SimConfig config;
+  config.processors = 16;
+  config.quantum_length = 100;
+  config.faults = &plan;
+  std::int64_t calls = 0;
+  std::vector<JobSubmission> subs;
+  for (int j = 0; j < 4; ++j) {
+    subs.push_back(JobSubmission{
+        std::make_unique<CountingJob>(
+            std::make_unique<dag::ProfileJob>(
+                workload::constant_profile(6, 400)),
+            &calls),
+        static_cast<dag::Steps>(50 * j),
+        {}});
+  }
+  sched::BGreedyExecution exec;
+  sched::AControlRequest proto;
+  alloc::EquiPartition deq;
+  const SimResult result =
+      simulate_job_set_async(std::move(subs), exec, proto, deq, config);
+
+  ASSERT_EQ(result.fault_log.crashes.size(), 2u);
+  dag::Steps job_steps = 0;
+  for (const JobTrace& trace : result.jobs) {
+    ASSERT_TRUE(trace.finished());
+    for (const sched::QuantumStats& q : trace.quanta) {
+      job_steps += q.steps_used;
+    }
+  }
+  EXPECT_GT(job_steps, 4 * 400);
+  EXPECT_LT(calls * 10, job_steps) << calls << " calls for " << job_steps
+                                   << " job-steps";
 }
 
 /// The combinatorial stress case: everything at once.
