@@ -16,9 +16,10 @@
 // at any --jobs level.
 //
 //   ./fig6_job_sets [--full] [--sets=N] [--seed=S] [--csv] [--jobs=N]
-//                   [--allocator=deq|rr] [--jsonl=PATH] [--json=PATH]
+//                   [--allocator=deq|rr|hesrpt] [--jsonl=PATH] [--json=PATH]
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -31,17 +32,30 @@ int main(int argc, char** argv) {
   const abg::bench::StandardFlags flags(cli, 2008);
   const auto sets_per_load =
       static_cast<int>(cli.get_int("sets", flags.full ? 500 : 30));
-  // --allocator=rr swaps dynamic equi-partitioning for round-robin (the
-  // other fair allocator He et al. couple the schedulers with).
-  const bool use_round_robin = cli.get("allocator", "deq") == "rr";
+  // --allocator swaps dynamic equi-partitioning for round-robin (the other
+  // fair allocator He et al. couple the schedulers with) or heSRPT.  The
+  // name goes through the library's allocator table, which rejects an
+  // unknown name.
+  abg::exp::AllocatorKind allocator = abg::exp::AllocatorKind::kDefault;
+  try {
+    allocator =
+        abg::exp::allocator_kind_from_name(cli.get("allocator", "deq"));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "fig6_job_sets: " << error.what() << "\n";
+    return 2;
+  }
   const int threads = abg::bench::thread_count_flag(cli);
   const abg::bench::Machine machine;
   const std::vector<double> loads{0.25, 0.5, 1.0, 1.5, 2.0,
                                   3.0,  4.0, 5.0, 6.0};
 
-  std::cout << "Figure 6: job sets under "
-            << (use_round_robin ? "round-robin" : "dynamic equi-partitioning")
-            << ", P = "
+  const char* allocator_label = "dynamic equi-partitioning";
+  if (allocator == abg::exp::AllocatorKind::kRoundRobin) {
+    allocator_label = "round-robin";
+  } else if (allocator == abg::exp::AllocatorKind::kHesrpt) {
+    allocator_label = "heSRPT";
+  }
+  std::cout << "Figure 6: job sets under " << allocator_label << ", P = "
             << machine.processors << ", L = " << machine.quantum_length
             << ", " << sets_per_load << " sets per load, " << threads
             << " worker thread(s)\n\n";
@@ -62,9 +76,7 @@ int main(int argc, char** argv) {
         spec.workload.load = loads[li];
         spec.machine = {.processors = machine.processors,
                         .quantum_length = machine.quantum_length};
-        spec.allocator = use_round_robin
-                             ? abg::exp::AllocatorKind::kRoundRobin
-                             : abg::exp::AllocatorKind::kDefault;
+        spec.allocator = allocator;
         spec.seed_index =
             li * static_cast<std::uint64_t>(sets_per_load) +
             static_cast<std::uint64_t>(s);

@@ -71,9 +71,8 @@ class Allocator {
   /// lists into full-length vectors (0 for the inactive slots), calls
   /// allocate() or allocate_sized(), and gathers the active slots'
   /// allotments.  Positional allocators keep it, because their state is
-  /// indexed by slot: RoundRobin's cursor over n and
-  /// WeightedEquiPartition's weights_[i].  Allocators whose result depends
-  /// only on the order of the positive requests derive from
+  /// indexed by slot: RoundRobin's cursor over n.  Allocators whose result
+  /// depends only on the order of the positive requests derive from
   /// PositionFreeAllocator and run on the compact lists in O(active):
   /// EquiPartition, HeSrpt, Unconstrained and AvailabilityProfile.
   /// FaultyAllocator forwards the compact call and caps each allotment by

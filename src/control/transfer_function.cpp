@@ -29,14 +29,6 @@ std::complex<double> Polynomial::eval(std::complex<double> z) const {
   return acc;
 }
 
-double Polynomial::eval(double z) const {
-  double acc = 0.0;
-  for (auto it = coeffs_.rbegin(); it != coeffs_.rend(); ++it) {
-    acc = acc * z + *it;
-  }
-  return acc;
-}
-
 Polynomial Polynomial::operator+(const Polynomial& other) const {
   std::vector<double> out(std::max(coeffs_.size(), other.coeffs_.size()), 0.0);
   for (std::size_t k = 0; k < out.size(); ++k) {

@@ -38,9 +38,6 @@ class Polynomial {
   /// Evaluation at a complex point.
   std::complex<double> eval(std::complex<double> z) const;
 
-  /// Evaluation at a real point.
-  double eval(double z) const;
-
   Polynomial operator+(const Polynomial& other) const;
   Polynomial operator-(const Polynomial& other) const;
   Polynomial operator*(const Polynomial& other) const;

@@ -19,14 +19,14 @@ SchedulerSpec SchedulerSpec::copy() const {
 
 SchedulerSpec abg_spec(AbgConfig config) {
   return SchedulerSpec{
-      std::string(AbgScheduler::kName),
+      "ABG",
       std::make_unique<sched::BGreedyExecution>(),
       std::make_unique<sched::AControlRequest>(
           sched::AControlConfig{config.convergence_rate})};
 }
 
 SchedulerSpec a_greedy_spec(sched::AGreedyConfig config) {
-  return SchedulerSpec{std::string(AGreedyScheduler::kName),
+  return SchedulerSpec{"A-Greedy",
                        std::make_unique<sched::GreedyExecution>(),
                        std::make_unique<sched::AGreedyRequest>(config)};
 }

@@ -12,15 +12,22 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
-#include "core/a_greedy_scheduler.hpp"
-#include "core/abg_scheduler.hpp"
 #include "open/streaming_engine.hpp"
+#include "sched/a_control.hpp"
+#include "sched/a_greedy_request.hpp"
 #include "sched/execution_policy.hpp"
 #include "sched/request_policy.hpp"
 #include "sim/quantum_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace abg::core {
+
+/// Configuration for an ABG scheduler.
+struct AbgConfig {
+  /// A-Control convergence rate r ∈ [0, 1); the paper's simulations use
+  /// 0.2, and r = 0 gives one-step convergence d(q+1) = A(q).
+  double convergence_rate = 0.2;
+};
 
 /// A named task-scheduler configuration.
 struct SchedulerSpec {
@@ -31,10 +38,13 @@ struct SchedulerSpec {
   SchedulerSpec copy() const;
 };
 
-/// ABG with the given convergence rate.
+/// ABG (the paper's contribution): B-Greedy execution plus A-Control
+/// requests with the given convergence rate.
 SchedulerSpec abg_spec(AbgConfig config = {});
 
-/// A-Greedy with the given utilization/responsiveness.
+/// A-Greedy (Agrawal, He, Hsu, Leiserson, PPoPP'06), the baseline: greedy
+/// execution plus MIMD requests with the given utilization/responsiveness
+/// (paper defaults δ = 0.8, ρ = 2).
 SchedulerSpec a_greedy_spec(sched::AGreedyConfig config = {});
 
 /// ABG with online convergence-rate selection (tracks the empirical

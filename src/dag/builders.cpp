@@ -161,48 +161,6 @@ std::vector<TaskCount> profile_from_phases(
   return widths;
 }
 
-DagStructure out_tree(Steps depth, TaskCount fanout) {
-  if (depth < 1) {
-    throw std::invalid_argument("builders: tree depth must be >= 1");
-  }
-  require_positive(fanout, "tree fanout");
-  DagStructure dag;
-  // Level l has fanout^l nodes, ids assigned level by level.
-  std::size_t level_start = 0;
-  std::size_t level_size = 1;
-  dag.children.resize(1);
-  for (Steps l = 0; l + 1 < depth; ++l) {
-    const std::size_t next_start = level_start + level_size;
-    const std::size_t next_size =
-        level_size * static_cast<std::size_t>(fanout);
-    dag.children.resize(next_start + next_size);
-    for (std::size_t i = 0; i < level_size; ++i) {
-      auto& edges = dag.children[level_start + i];
-      for (TaskCount f = 0; f < fanout; ++f) {
-        edges.push_back(static_cast<NodeId>(
-            next_start + i * static_cast<std::size_t>(fanout) +
-            static_cast<std::size_t>(f)));
-      }
-    }
-    level_start = next_start;
-    level_size = next_size;
-  }
-  return dag;
-}
-
-DagStructure in_tree(Steps depth, TaskCount fanout) {
-  // Reverse every edge of the out-tree.
-  const DagStructure out = out_tree(depth, fanout);
-  DagStructure dag;
-  dag.children.resize(out.node_count());
-  for (std::size_t parent = 0; parent < out.node_count(); ++parent) {
-    for (const NodeId child : out.children[parent]) {
-      dag.children[child].push_back(static_cast<NodeId>(parent));
-    }
-  }
-  return dag;
-}
-
 DagStructure grid(Steps rows, Steps cols) {
   if (rows < 1 || cols < 1) {
     throw std::invalid_argument("builders: grid dimensions must be >= 1");

@@ -51,15 +51,6 @@ DagStructure random_layered(util::Rng& rng, Steps levels, TaskCount max_width,
 /// equivalent ProfileJob.
 std::vector<TaskCount> profile_from_phases(const std::vector<PhaseSpec>& phases);
 
-/// Complete out-tree (spawn tree): a root whose descendants branch with
-/// the given fanout for `depth` levels.  T∞ = depth; parallelism grows
-/// geometrically toward the leaves.  Requires depth >= 1 and fanout >= 1.
-DagStructure out_tree(Steps depth, TaskCount fanout);
-
-/// Complete in-tree (reduction): fanout^(depth-1) leaves reduced pairwise
-/// (fanout-wise) to a single root.  The mirror image of out_tree.
-DagStructure in_tree(Steps depth, TaskCount fanout);
-
 /// Wavefront grid (stencil): task (i, j) precedes (i+1, j) and (i, j+1).
 /// T1 = rows*cols, T∞ = rows + cols − 1; the parallelism profile is the
 /// anti-diagonal width (a ramp up and back down).  Requires rows, cols

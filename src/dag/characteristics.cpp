@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dag/dag_job.hpp"
 #include "dag/profile_job.hpp"
 
 namespace abg::dag {
@@ -24,12 +25,6 @@ JobCharacteristics characteristics_of(const Job& job) {
     }
   }
   return c;
-}
-
-std::vector<TaskCount> level_histogram(const DagStructure& structure) {
-  // DagJob's constructor validates and computes levels; reuse it.
-  const DagJob job{structure};
-  return job.level_sizes();
 }
 
 }  // namespace abg::dag

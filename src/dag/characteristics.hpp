@@ -7,9 +7,6 @@
 // computed in metrics/parallelism_stats.hpp from a realized A(q) series.
 #pragma once
 
-#include <vector>
-
-#include "dag/dag_job.hpp"
 #include "dag/job.hpp"
 
 namespace abg::dag {
@@ -28,9 +25,5 @@ struct JobCharacteristics {
 
 /// Characteristics of any job in its initial state.
 JobCharacteristics characteristics_of(const Job& job);
-
-/// Number of tasks at each level of the structure (level = longest chain
-/// from a source, 0-based).  Validates acyclicity.
-std::vector<TaskCount> level_histogram(const DagStructure& structure);
 
 }  // namespace abg::dag

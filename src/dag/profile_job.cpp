@@ -115,11 +115,4 @@ std::unique_ptr<Job> ProfileJob::fresh_clone() const {
   return clone;
 }
 
-TaskCount ProfileJob::width_at(std::size_t level) const {
-  if (level >= widths_->size()) {
-    throw std::invalid_argument("ProfileJob::width_at: level out of range");
-  }
-  return (*widths_)[level];
-}
-
 }  // namespace abg::dag

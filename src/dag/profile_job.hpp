@@ -48,12 +48,6 @@ class ProfileJob final : public Job {
   /// The level widths this job was built from.
   const std::vector<TaskCount>& widths() const { return *widths_; }
 
-  /// Exact parallelism profile: width of the level that would execute at
-  /// each step under `procs` processors is not well defined a priori, but
-  /// the *instantaneous parallelism* (ready tasks with unlimited
-  /// processors) at level l is simply widths()[l].
-  TaskCount width_at(std::size_t level) const;
-
  private:
   std::shared_ptr<const std::vector<TaskCount>> widths_;
   TaskCount total_work_ = 0;

@@ -43,18 +43,6 @@ std::string to_string(WorkloadKind kind) {
   throw std::invalid_argument("unknown WorkloadKind");
 }
 
-std::string to_string(AllocatorKind kind) {
-  switch (kind) {
-    case AllocatorKind::kDefault:
-      return "deq";
-    case AllocatorKind::kRoundRobin:
-      return "rr";
-    case AllocatorKind::kHesrpt:
-      return "hesrpt";
-  }
-  throw std::invalid_argument("unknown AllocatorKind");
-}
-
 AllocatorKind allocator_kind_from_name(const std::string& name) {
   if (name == "deq" || name == "default") {
     return AllocatorKind::kDefault;

@@ -135,7 +135,6 @@ enum class AllocatorKind {
   kHesrpt,
 };
 
-std::string to_string(AllocatorKind kind);
 AllocatorKind allocator_kind_from_name(const std::string& name);
 
 /// Failure-injection hooks for robustness tests.  Never part of a spec's

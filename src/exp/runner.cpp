@@ -302,17 +302,6 @@ void append_open_metrics(const open::OpenResult& result, RunRecord& record) {
 
 }  // namespace
 
-RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed) {
-  return execute_run(spec, base_seed, RunContext{});
-}
-
-RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
-                      obs::MetricsRegistry* metrics_out) {
-  RunContext context;
-  context.metrics = metrics_out;
-  return execute_run(spec, base_seed, context);
-}
-
 RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
                       const RunContext& context) {
   sim::check_composition(axes_of(spec), "RunSpec");

@@ -139,24 +139,13 @@ struct SweepConfig {
 /// ("runs completed, runs/sec, ETA") on stderr.
 std::function<void(const Progress&)> stderr_progress();
 
-/// Executes one RunSpec in the calling thread and returns its record (with
-/// run_id unset).  A spec whose axes sim::check_composition forbids throws
-/// std::invalid_argument before anything runs.  This is the unit of work SweepRunner parallelizes;
-/// exposed so tests and special-purpose harnesses can run it directly.
-RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed);
-
-/// As above, but additionally accumulates the run's engine metrics into
-/// `*metrics_out` (not cleared first) when non-null: the run simulates
-/// under a private EventBus with a MetricsSink attached, chained into
-/// spec.obs.event_bus when that is also set.  For a faulted spec the
-/// fault-free reference simulation is observed too (it is part of the
-/// run's cost).
-RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
-                      obs::MetricsRegistry* metrics_out);
-
 /// Per-attempt execution context of the monitored sweep path.
 struct RunContext {
-  /// As the metrics_out parameter of the overload above.
+  /// When non-null, the run's engine metrics accumulate into `*metrics`
+  /// (not cleared first): the run simulates under a private EventBus with
+  /// a MetricsSink attached, chained into spec.obs.event_bus when that is
+  /// also set.  For a faulted spec the fault-free reference simulation is
+  /// observed too (it is part of the run's cost).
   obs::MetricsRegistry* metrics = nullptr;
   /// Cancellation token threaded into the run's SimConfig; the engines
   /// poll it at quantum boundaries and unwind with util::CancelledError.
@@ -165,8 +154,11 @@ struct RunContext {
   int attempt = 0;
 };
 
-/// The fully-parameterized unit of work: execute_run with cancellation
-/// and attempt context.  The simpler overloads delegate here.
+/// Executes one RunSpec in the calling thread and returns its record (with
+/// run_id unset).  A spec whose axes sim::check_composition forbids throws
+/// std::invalid_argument before anything runs.  This is the unit of work
+/// SweepRunner parallelizes; exposed so tests and special-purpose
+/// harnesses can run it directly.
 RunRecord execute_run(const RunSpec& spec, std::uint64_t base_seed,
                       const RunContext& context);
 

@@ -65,10 +65,4 @@ dag::Steps FaultInjector::next_change(dag::Steps bound) const {
   return bound;
 }
 
-void FaultInjector::reset() {
-  next_ = 0;
-  failed_ = 0;
-  revocations_.clear();
-}
-
 }  // namespace abg::fault

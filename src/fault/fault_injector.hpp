@@ -5,8 +5,7 @@
 // falls in [from, to), updates the failed-processor count and the active
 // revocation windows, and hands back the crashes the engine must apply.
 // Capacity and revocation caps are then queried for the window just
-// advanced to.  Windows must be advanced in non-decreasing order;
-// reset() rewinds for a replay.
+// advanced to.  Windows must be advanced in non-decreasing order.
 #pragma once
 
 #include <limits>
@@ -62,9 +61,6 @@ class FaultInjector {
   dag::Steps next_change(dag::Steps bound) const;
 
   const FaultPlan& plan() const { return plan_; }
-
-  /// Rewinds to the start of the plan.
-  void reset();
 
  private:
   struct Window {

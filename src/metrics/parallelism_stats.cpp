@@ -47,27 +47,6 @@ double empirical_transition_factor(const sim::JobTrace& trace) {
                                      /*seed_initial=*/true);
 }
 
-double parallelism_change_frequency(const sim::JobTrace& trace,
-                                    double relative_threshold) {
-  if (relative_threshold < 0.0) {
-    throw std::invalid_argument(
-        "parallelism_change_frequency: negative threshold");
-  }
-  const std::vector<double> series = full_quantum_parallelism(trace);
-  if (series.size() < 2) {
-    return 0.0;
-  }
-  std::size_t changes = 0;
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    const double rel = std::abs(series[i] - series[i - 1]) / series[i - 1];
-    if (rel > relative_threshold) {
-      ++changes;
-    }
-  }
-  return static_cast<double>(changes) /
-         static_cast<double>(series.size() - 1);
-}
-
 double parallelism_variance(const sim::JobTrace& trace) {
   util::RunningStats stats;
   for (const double a : full_quantum_parallelism(trace)) {

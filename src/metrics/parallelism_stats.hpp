@@ -24,12 +24,6 @@ double empirical_transition_factor(const sim::JobTrace& trace);
 double transition_factor_of_series(const std::vector<double>& parallelism,
                                    bool seed_initial = true);
 
-/// Fraction of adjacent full-quantum pairs whose parallelism changed by
-/// more than `relative_threshold` (e.g. 0.1 = 10%).  One of the paper's
-/// suggested alternative characteristics.
-double parallelism_change_frequency(const sim::JobTrace& trace,
-                                    double relative_threshold = 0.1);
-
 /// Variance of the parallelism over full quanta (the paper's other
 /// suggested alternative characteristic).  0 when fewer than two full
 /// quanta exist.

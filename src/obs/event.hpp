@@ -141,7 +141,6 @@ struct Event {
   std::int64_t open_admitted = 0;
   std::int64_t open_completed = 0;
   std::int64_t open_high_water = 0;
-  std::int64_t open_stats_merges = 0;
 
   // kRunEnd
   dag::Steps makespan = 0;

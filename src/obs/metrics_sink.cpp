@@ -106,7 +106,6 @@ void MetricsSink::on_event(const Event& event) {
       reg.counter("open.admitted").add(event.open_admitted);
       reg.gauge("open.in_system_high_water")
           .set(static_cast<double>(event.open_high_water));
-      reg.counter("open.stats_merges").add(event.open_stats_merges);
       break;
     case EventKind::kClusterRoute:
       reg.counter("cluster.routes").add();

@@ -32,34 +32,6 @@ double Reservoir::quantile(double q) const {
   return util::quantile(samples_, q);
 }
 
-void Reservoir::merge(const Reservoir& other) {
-  std::vector<double> combined;
-  combined.reserve(samples_.size() + other.samples_.size());
-  combined.insert(combined.end(), samples_.begin(), samples_.end());
-  combined.insert(combined.end(), other.samples_.begin(),
-                  other.samples_.end());
-  // Sorting makes the union order-independent; systematic thinning over
-  // the sorted array keeps the quantile structure and stays commutative.
-  std::sort(combined.begin(), combined.end());
-  if (combined.size() > capacity_) {
-    std::vector<double> thinned;
-    thinned.reserve(capacity_);
-    const std::size_t n = combined.size();
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      // Evenly spaced order statistics: index i maps to the rank
-      // round(i * (n - 1) / (capacity - 1)).
-      const std::size_t rank =
-          capacity_ > 1 ? (i * (n - 1) + (capacity_ - 1) / 2) /
-                              (capacity_ - 1)
-                        : (n - 1) / 2;
-      thinned.push_back(combined[rank]);
-    }
-    combined = std::move(thinned);
-  }
-  samples_ = std::move(combined);
-  seen_ += other.seen_;
-}
-
 DownsampledSeries::DownsampledSeries(std::size_t capacity)
     : capacity_(capacity) {
   if (capacity_ < 2) {
@@ -148,19 +120,6 @@ void OnlineStats::record_queue_depth(dag::Steps step,
   queue_depth_.add(depth);
   queue_sample_.add(depth);
   queue_series_.add(step, depth);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  completed_ += other.completed_;
-  total_work_ += other.total_work_;
-  total_waste_ += other.total_waste_;
-  response_.merge(other.response_);
-  slowdown_.merge(other.slowdown_);
-  queue_depth_.merge(other.queue_depth_);
-  response_sample_.merge(other.response_sample_);
-  slowdown_sample_.merge(other.slowdown_sample_);
-  queue_sample_.merge(other.queue_sample_);
-  merges_ += 1 + other.merges_;
 }
 
 namespace {

@@ -17,9 +17,7 @@
 // Determinism: sampling decisions come from a private Rng seeded at
 // construction, so a stream's retained sample set is a pure function of
 // (seed, observation sequence) — thread-count independent because each
-// open run owns exactly one OnlineStats.  merge() is commutative by
-// construction (the merged reservoir is a systematic subsample of the
-// *sorted* union), so sharded aggregation cannot depend on merge order.
+// open run owns exactly one OnlineStats.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +48,6 @@ class Reservoir {
   /// q-quantile estimate by linear interpolation over the retained
   /// sample; exact while seen() <= capacity; NaN when empty.
   double quantile(double q) const;
-
-  /// Commutative merge: the union of both retained samples is sorted and,
-  /// when over capacity, thinned to evenly spaced order statistics.  The
-  /// result is identical for a.merge(b) and b.merge(a).
-  void merge(const Reservoir& other);
 
   /// Retained samples (unsorted; test hook).
   const std::vector<double>& samples() const { return samples_; }
@@ -137,16 +130,6 @@ class OnlineStats {
 
   const DownsampledSeries& queue_series() const { return queue_series_; }
 
-  /// Times merge() has folded another instance into this one (the
-  /// open.stats_merges counter).
-  std::int64_t merges() const { return merges_; }
-
-  /// Folds `other` in: totals add, Welford accumulators combine,
-  /// reservoirs merge commutatively.  The queue-depth *series* stays this
-  /// instance's own (two shards' timelines do not interleave meaningfully
-  /// at constant memory); the queue-depth aggregates do merge.
-  void merge(const OnlineStats& other);
-
   /// Deterministic summary object (used by abg_sim's --open report).
   util::Json to_json() const;
 
@@ -161,7 +144,6 @@ class OnlineStats {
   Reservoir slowdown_sample_;
   Reservoir queue_sample_;
   DownsampledSeries queue_series_;
-  std::int64_t merges_ = 0;
 };
 
 }  // namespace abg::open

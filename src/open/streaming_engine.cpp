@@ -364,7 +364,6 @@ OpenResult run_stream(const sched::ExecutionPolicy& execution,
     summary.open_admitted = result.admitted;
     summary.open_completed = result.completed;
     summary.open_high_water = result.in_system_high_water;
-    summary.open_stats_merges = result.stats.merges();
     bus->publish(summary);
   }
   sim::publish_run_end(bus, result.makespan);

@@ -48,42 +48,6 @@ std::string feedback_report(const JobTrace& trace) {
   return out;
 }
 
-std::vector<double> machine_utilization_series(const SimResult& result,
-                                               int processors) {
-  if (processors < 1) {
-    throw std::invalid_argument(
-        "machine_utilization_series: processors must be >= 1");
-  }
-  dag::Steps quantum_length = 0;
-  for (const JobTrace& t : result.jobs) {
-    for (const auto& q : t.quanta) {
-      if (quantum_length == 0) {
-        quantum_length = q.length;
-      } else if (q.length != quantum_length) {
-        throw std::invalid_argument(
-            "machine_utilization_series: non-uniform quantum lengths");
-      }
-    }
-  }
-  if (quantum_length == 0) {
-    return {};
-  }
-  const auto slots = static_cast<std::size_t>(
-      (result.makespan + quantum_length - 1) / quantum_length);
-  std::vector<double> series(slots, 0.0);
-  for (const JobTrace& t : result.jobs) {
-    for (const auto& q : t.quanta) {
-      const auto slot =
-          static_cast<std::size_t>(q.start_step / quantum_length);
-      if (slot < series.size()) {
-        series[slot] += static_cast<double>(q.allotment) /
-                        static_cast<double>(processors);
-      }
-    }
-  }
-  return series;
-}
-
 std::string gantt_chart(const SimResult& result, int processors) {
   if (processors < 1) {
     throw std::invalid_argument("gantt_chart: processors must be >= 1");

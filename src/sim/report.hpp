@@ -24,13 +24,6 @@ std::string sparkline(const std::vector<double>& values);
 /// parallelism A(q), request d(q), allotment a(q).
 std::string feedback_report(const JobTrace& trace);
 
-/// Fraction of the machine assigned per global quantum over the whole
-/// simulation, index 0 = the quantum starting at step 0.  Quanta with no
-/// active job contribute 0.  Requires processors >= 1 and a uniform
-/// quantum length across the result.
-std::vector<double> machine_utilization_series(const SimResult& result,
-                                               int processors);
-
 /// Aggregate machine utilization: total completed work divided by
 /// makespan * P (1.0 = every processor busy until the last completion).
 double machine_utilization(const SimResult& result, int processors);

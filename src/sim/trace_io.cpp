@@ -1,38 +1,16 @@
 #include "sim/trace_io.hpp"
 
-#include <iomanip>
-#include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 
 namespace abg::sim {
 
-namespace {
-
-constexpr std::string_view kQuantumHeader =
-    "index,start_step,request,allotment,available,length,steps_used,work,"
-    "cpl,full,finished";
-
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream ss(line);
-  while (std::getline(ss, cell, ',')) {
-    cells.push_back(cell);
-  }
-  return cells;
-}
-
-}  // namespace
-
 void write_trace_csv(std::ostream& os, const JobTrace& trace) {
-  // Full round-trip precision for the fractional cpl column.
+  // Full precision for the fractional cpl column.
   const auto old_precision = os.precision(
       std::numeric_limits<double>::max_digits10);
-  os << kQuantumHeader << '\n';
+  os << "index,start_step,request,allotment,available,length,steps_used,"
+        "work,cpl,full,finished\n";
   for (const auto& q : trace.quanta) {
     os << q.index << ',' << q.start_step << ',' << q.request << ','
        << q.allotment << ',' << q.available << ',' << q.length << ','
@@ -40,52 +18,6 @@ void write_trace_csv(std::ostream& os, const JobTrace& trace) {
        << (q.full ? 1 : 0) << ',' << (q.finished ? 1 : 0) << '\n';
   }
   os.precision(old_precision);
-}
-
-JobTrace read_trace_csv(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != kQuantumHeader) {
-    throw std::invalid_argument("read_trace_csv: missing or wrong header");
-  }
-  JobTrace trace;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    const auto cells = split_csv_line(line);
-    if (cells.size() != 11) {
-      throw std::invalid_argument("read_trace_csv: wrong column count");
-    }
-    try {
-      sched::QuantumStats q;
-      q.index = std::stoll(cells[0]);
-      q.start_step = std::stoll(cells[1]);
-      q.request = std::stoi(cells[2]);
-      q.allotment = std::stoi(cells[3]);
-      q.available = std::stoi(cells[4]);
-      q.length = std::stoll(cells[5]);
-      q.steps_used = std::stoll(cells[6]);
-      q.work = std::stoll(cells[7]);
-      q.cpl = std::stod(cells[8]);
-      q.full = cells[9] == "1";
-      q.finished = cells[10] == "1";
-      trace.quanta.push_back(q);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("read_trace_csv: malformed row: " + line);
-    }
-  }
-  return trace;
-}
-
-void write_result_csv(std::ostream& os, const SimResult& result) {
-  os << "job,release,completion,response,work,critical_path,waste,quanta\n";
-  for (std::size_t j = 0; j < result.jobs.size(); ++j) {
-    const JobTrace& t = result.jobs[j];
-    os << j << ',' << t.release_step << ',' << t.completion_step << ','
-       << (t.finished() ? t.response_time() : -1) << ',' << t.work << ','
-       << t.critical_path << ',' << t.total_waste() << ','
-       << t.quanta.size() << '\n';
-  }
 }
 
 }  // namespace abg::sim

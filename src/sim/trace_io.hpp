@@ -1,16 +1,9 @@
-// Trace serialization.
-//
-// Writes traces and simulation results as CSV for external analysis /
-// replotting.  One row per quantum with every recorded field, plus a
-// per-job summary form for whole simulations.  Parsing back is supported
-// for the quantum CSV so experiment pipelines can round-trip.
+// Trace serialization: writes a job's trace as CSV, one row per quantum
+// with every recorded field, for external analysis / replotting.
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <vector>
 
-#include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace abg::sim {
@@ -19,15 +12,5 @@ namespace abg::sim {
 /// index, start_step, request, allotment, available, length, steps_used,
 /// work, cpl, full, finished.
 void write_trace_csv(std::ostream& os, const JobTrace& trace);
-
-/// Parses a CSV produced by write_trace_csv back into quantum stats.
-/// Throws std::invalid_argument on malformed input.  (Job-level fields —
-/// T1, T∞, release, completion — are not part of the quantum CSV and are
-/// left default.)
-JobTrace read_trace_csv(std::istream& is);
-
-/// Writes a whole result as a per-job summary CSV: job, release,
-/// completion, response, work, critical_path, waste, quanta.
-void write_result_csv(std::ostream& os, const SimResult& result);
 
 }  // namespace abg::sim

@@ -135,15 +135,6 @@ double Cli::get_positive_double(const std::string& name,
   return value;
 }
 
-std::vector<std::string> Cli::names() const {
-  std::vector<std::string> out;
-  out.reserve(flags_.size());
-  for (const auto& [name, values] : flags_) {
-    out.push_back(name);
-  }
-  return out;
-}
-
 void Cli::reject_unknown(const std::vector<std::string>& allowed) const {
   for (const auto& [name, values] : flags_) {
     bool known = false;

@@ -64,9 +64,6 @@ class Cli {
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Every distinct flag name seen on the command line, sorted.
-  std::vector<std::string> names() const;
-
   /// Strict-flag validation: throws std::invalid_argument naming the first
   /// flag not in `allowed`, with the full allowed list in the message
   /// (sorted).  Tools that take a closed flag set call this once after

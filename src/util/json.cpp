@@ -99,13 +99,6 @@ std::int64_t Json::as_integer() const {
   return integer_;
 }
 
-bool Json::as_boolean() const {
-  if (kind_ != Kind::kBoolean) {
-    throw std::logic_error("Json::as_boolean: not a boolean");
-  }
-  return boolean_;
-}
-
 const std::vector<std::pair<std::string, Json>>& Json::members() const {
   if (kind_ != Kind::kObject) {
     throw std::logic_error("Json::members: not an object");

@@ -87,7 +87,6 @@ class Json {
   const std::string& as_string() const;
   double as_number() const;
   std::int64_t as_integer() const;
-  bool as_boolean() const;
 
   /// Object members in insertion order; throws std::logic_error when this
   /// value is not an object.

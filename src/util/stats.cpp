@@ -1,9 +1,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace abg::util {
 
@@ -21,33 +19,12 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) {
     return 0.0;
   }
   return m2_ / static_cast<double>(n_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double RunningStats::min() const {
   return n_ > 0 ? min_ : std::numeric_limits<double>::infinity();
@@ -79,36 +56,6 @@ double mean_of(const std::vector<double>& samples) {
     acc.add(s);
   }
   return acc.mean();
-}
-
-double geometric_mean(const std::vector<double>& samples) {
-  if (samples.empty()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  double log_sum = 0.0;
-  for (double s : samples) {
-    if (!(s > 0.0)) {
-      throw std::invalid_argument("geometric_mean: non-positive sample");
-    }
-    log_sum += std::log(s);
-  }
-  return std::exp(log_sum / static_cast<double>(samples.size()));
-}
-
-double stddev_of(const std::vector<double>& samples) {
-  if (samples.empty()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  RunningStats acc;
-  for (double s : samples) {
-    acc.add(s);
-  }
-  return acc.stddev();
-}
-
-bool approx_equal(double a, double b, double rel_tol, double abs_tol) {
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= abs_tol + rel_tol * scale;
 }
 
 }  // namespace abg::util

@@ -17,9 +17,6 @@ class RunningStats {
   /// Adds one sample.
   void add(double x);
 
-  /// Merges another accumulator into this one (parallel-friendly reduce).
-  void merge(const RunningStats& other);
-
   /// Number of samples added.
   std::size_t count() const { return n_; }
 
@@ -28,9 +25,6 @@ class RunningStats {
 
   /// Unbiased sample variance; 0 when fewer than two samples.
   double variance() const;
-
-  /// Sample standard deviation.
-  double stddev() const;
 
   /// Smallest sample; +inf when empty.
   double min() const;
@@ -61,18 +55,6 @@ double quantile(std::vector<double> samples, double q);
 
 /// Arithmetic mean of a vector; quiet NaN on empty input.
 double mean_of(const std::vector<double>& samples);
-
-/// Geometric mean of strictly positive samples; quiet NaN on empty input.
-/// Throws std::invalid_argument on a non-positive sample.
-double geometric_mean(const std::vector<double>& samples);
-
-/// Unbiased sample standard deviation; quiet NaN on empty input, 0 for a
-/// single sample (matching RunningStats::stddev).
-double stddev_of(const std::vector<double>& samples);
-
-/// True when |a - b| <= abs_tol + rel_tol * max(|a|, |b|).
-bool approx_equal(double a, double b, double rel_tol = 1e-9,
-                  double abs_tol = 1e-12);
 
 /// Integer ceiling division for non-negative operands.
 constexpr long long ceil_div(long long num, long long den) {

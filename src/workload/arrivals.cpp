@@ -5,10 +5,6 @@
 
 namespace abg::workload {
 
-std::vector<dag::Steps> batched_releases(std::size_t jobs) {
-  return std::vector<dag::Steps>(jobs, 0);
-}
-
 std::vector<dag::Steps> staggered_releases(std::size_t jobs,
                                            dag::Steps gap) {
   if (gap < 0) {

@@ -14,9 +14,6 @@
 
 namespace abg::workload {
 
-/// All jobs released at step 0.
-std::vector<dag::Steps> batched_releases(std::size_t jobs);
-
 /// Job i released at i * gap.  Requires gap >= 0 and
 /// (jobs - 1) * gap representable in dag::Steps — the last release is
 /// checked for overflow and rejected with std::invalid_argument rather

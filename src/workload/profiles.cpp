@@ -59,31 +59,6 @@ std::vector<dag::TaskCount> step_profile(dag::TaskCount low,
   return widths;
 }
 
-std::vector<dag::TaskCount> ramp_profile(dag::TaskCount from,
-                                         dag::TaskCount to,
-                                         dag::Steps levels) {
-  check_width(from, "from width");
-  check_width(to, "to width");
-  check_levels(levels, "levels");
-  std::vector<dag::TaskCount> widths(static_cast<std::size_t>(levels));
-  if (levels == 0) {
-    return widths;
-  }
-  if (levels == 1) {
-    widths[0] = from;
-    return widths;
-  }
-  for (dag::Steps i = 0; i < levels; ++i) {
-    const double t =
-        static_cast<double>(i) / static_cast<double>(levels - 1);
-    widths[static_cast<std::size_t>(i)] = std::max<dag::TaskCount>(
-        1, static_cast<dag::TaskCount>(std::llround(
-               static_cast<double>(from) +
-               t * static_cast<double>(to - from))));
-  }
-  return widths;
-}
-
 std::vector<dag::TaskCount> square_wave_profile(dag::TaskCount low,
                                                 dag::Steps low_levels,
                                                 dag::TaskCount high,

@@ -34,11 +34,6 @@ std::vector<dag::TaskCount> step_profile(dag::TaskCount low,
                                          dag::TaskCount high,
                                          dag::Steps high_levels);
 
-/// Linear ramp from `from` to `to` across `levels` levels.
-std::vector<dag::TaskCount> ramp_profile(dag::TaskCount from,
-                                         dag::TaskCount to,
-                                         dag::Steps levels);
-
 /// `periods` repetitions of (`low_levels` at `low`, `high_levels` at
 /// `high`): the square-wave fork-join alternation.
 std::vector<dag::TaskCount> square_wave_profile(dag::TaskCount low,

@@ -13,7 +13,6 @@
 #include "alloc/hesrpt.hpp"
 #include "alloc/round_robin.hpp"
 #include "alloc/unconstrained.hpp"
-#include "alloc/weighted_equipartition.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/faulty_allocator.hpp"
 #include "util/rng.hpp"
@@ -365,7 +364,7 @@ TEST(FaultyAllocatorProperties, RevocationNeverBreaksConservativeness) {
 TEST(AllocatorClone, PreservesRotationState) {
   // Regression for the dropped-state clone() bug: a clone taken mid-stream
   // must continue the original's allocation sequence exactly.  Rotation
-  // (DEQ/RR/weighted) and the profile cursor are the state at stake.
+  // (DEQ/RR) and the profile cursor are the state at stake.
   const auto check = [](std::unique_ptr<Allocator> original) {
     util::Rng rng(515);
     std::vector<int> requests(5, 0);
@@ -388,8 +387,6 @@ TEST(AllocatorClone, PreservesRotationState) {
   };
   check(std::make_unique<EquiPartition>());
   check(std::make_unique<RoundRobin>());
-  check(std::make_unique<WeightedEquiPartition>(
-      std::vector<double>{1.0, 2.0, 1.0, 3.0, 1.0}));
   check(std::make_unique<AvailabilityProfile>(
       std::vector<int>{3, 17, 0, 64, 5, 9, 2, 30}));
 }

@@ -13,22 +13,13 @@
 namespace abg::workload {
 namespace {
 
-TEST(Arrivals, BatchedAllZero) {
-  const auto releases = batched_releases(5);
-  ASSERT_EQ(releases.size(), 5u);
-  for (const auto r : releases) {
-    EXPECT_EQ(r, 0);
-  }
-  EXPECT_TRUE(batched_releases(0).empty());
-}
-
 TEST(Arrivals, StaggeredEvenlySpaced) {
   const auto releases = staggered_releases(4, 100);
   EXPECT_EQ(releases, (std::vector<dag::Steps>{0, 100, 200, 300}));
 }
 
 TEST(Arrivals, StaggeredZeroGapIsBatched) {
-  EXPECT_EQ(staggered_releases(3, 0), batched_releases(3));
+  EXPECT_EQ(staggered_releases(3, 0), std::vector<dag::Steps>(3, 0));
 }
 
 TEST(Arrivals, StaggeredRejectsNegativeGap) {

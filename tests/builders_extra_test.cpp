@@ -1,4 +1,4 @@
-// Tests for the extended DAG shapes: trees, wavefront grids and random
+// Tests for the extended DAG shapes: wavefront grids and random
 // series-parallel compositions.
 #include <gtest/gtest.h>
 
@@ -7,47 +7,6 @@
 
 namespace abg::dag::builders {
 namespace {
-
-TEST(OutTree, BinaryShape) {
-  DagJob job{out_tree(4, 2)};
-  EXPECT_EQ(job.total_work(), 15);  // 1+2+4+8
-  EXPECT_EQ(job.critical_path(), 4);
-  EXPECT_EQ(job.level_sizes(), (std::vector<TaskCount>{1, 2, 4, 8}));
-}
-
-TEST(OutTree, DepthOneIsSingleTask) {
-  DagJob job{out_tree(1, 3)};
-  EXPECT_EQ(job.total_work(), 1);
-  EXPECT_EQ(job.critical_path(), 1);
-}
-
-TEST(OutTree, UnaryFanoutIsChain) {
-  DagJob job{out_tree(5, 1)};
-  EXPECT_EQ(job.total_work(), 5);
-  EXPECT_EQ(job.critical_path(), 5);
-}
-
-TEST(OutTree, Validation) {
-  EXPECT_THROW(out_tree(0, 2), std::invalid_argument);
-  EXPECT_THROW(out_tree(3, 0), std::invalid_argument);
-}
-
-TEST(InTree, MirrorsOutTree) {
-  DagJob job{in_tree(4, 2)};
-  EXPECT_EQ(job.total_work(), 15);
-  EXPECT_EQ(job.critical_path(), 4);
-  EXPECT_EQ(job.level_sizes(), (std::vector<TaskCount>{8, 4, 2, 1}));
-  // Reduction: starts with 8 ready leaves.
-  EXPECT_EQ(job.ready_count(), 8);
-}
-
-TEST(InTree, ExecutesAsReduction) {
-  DagJob job{in_tree(3, 2)};  // 4 leaves, 2 mids, 1 root
-  EXPECT_EQ(job.step(10, PickOrder::kBreadthFirst), 4);
-  EXPECT_EQ(job.step(10, PickOrder::kBreadthFirst), 2);
-  EXPECT_EQ(job.step(10, PickOrder::kBreadthFirst), 1);
-  EXPECT_TRUE(job.finished());
-}
 
 TEST(Grid, WavefrontShape) {
   DagJob job{grid(3, 4)};

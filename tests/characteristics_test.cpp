@@ -34,18 +34,5 @@ TEST(Characteristics, EmptyJob) {
   EXPECT_DOUBLE_EQ(c.average_parallelism, 0.0);
 }
 
-TEST(LevelHistogram, MatchesBuilder) {
-  const auto hist =
-      level_histogram(builders::barrier_profile({2, 5, 3}));
-  const std::vector<TaskCount> expected{2, 5, 3};
-  EXPECT_EQ(hist, expected);
-}
-
-TEST(LevelHistogram, ValidatesStructure) {
-  DagStructure cyclic;
-  cyclic.children = {{1}, {0}};
-  EXPECT_THROW(level_histogram(cyclic), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace abg::dag

@@ -1,32 +1,57 @@
-#include "control/controller.hpp"
-
+// A-Control as a self-tuning regulator (Åström & Wittenmark): an integral
+// controller u(k+1) = u(k) + K·e(k) whose gain K is re-derived from each
+// plant measurement by a gain schedule.  The regulator below is that
+// general control-theoretic form; the tests check that
+// sched::AControlRequest, the scheduling-specific instantiation, computes
+// the same request sequence.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <stdexcept>
+#include <utility>
 
 #include "sched/a_control.hpp"
 
 namespace abg::control {
 namespace {
 
-TEST(IntegralController, AccumulatesScaledError) {
-  IntegralController c(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(c.update(0.5), 2.0);   // 1 + 2*0.5
-  EXPECT_DOUBLE_EQ(c.update(-1.0), 0.0);  // 2 - 2
-  EXPECT_DOUBLE_EQ(c.output(), 0.0);
-}
+/// For ABG: measurement = A(q), schedule K = (1 − r)·A, setpoint 1 on the
+/// normalized output y = u/A, giving u(q+1) = r·u(q) + (1 − r)·A(q).
+class SelfTuningRegulator {
+ public:
+  using GainSchedule = std::function<double(double measurement)>;
 
-TEST(IntegralController, GainCanBeRetuned) {
-  IntegralController c(1.0, 0.0);
-  c.set_gain(10.0);
-  EXPECT_DOUBLE_EQ(c.gain(), 10.0);
-  EXPECT_DOUBLE_EQ(c.update(1.0), 10.0);
-}
+  SelfTuningRegulator(GainSchedule schedule, double setpoint,
+                      double initial_output)
+      : schedule_(std::move(schedule)),
+        setpoint_(setpoint),
+        output_(initial_output) {
+    if (!schedule_) {
+      throw std::invalid_argument("SelfTuningRegulator: empty gain schedule");
+    }
+  }
 
-TEST(IntegralController, ResetRestoresOutput) {
-  IntegralController c(1.0, 5.0);
-  c.update(3.0);
-  c.reset(5.0);
-  EXPECT_DOUBLE_EQ(c.output(), 5.0);
-}
+  /// Feeds one plant measurement (the measured average parallelism) and
+  /// returns the next control output (the next processor desire).
+  double update(double measurement) {
+    if (!(measurement > 0.0)) {
+      throw std::invalid_argument(
+          "SelfTuningRegulator::update: measurement must be positive");
+    }
+    // Normalized output y = u / measurement; error e = setpoint − y.
+    const double error = setpoint_ - output_ / measurement;
+    output_ += schedule_(measurement) * error;
+    return output_;
+  }
+
+  double output() const { return output_; }
+  void reset(double initial_output) { output_ = initial_output; }
+
+ private:
+  GainSchedule schedule_;
+  double setpoint_;
+  double output_;
+};
 
 TEST(SelfTuningRegulator, RejectsEmptySchedule) {
   EXPECT_THROW(

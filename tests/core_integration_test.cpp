@@ -9,27 +9,26 @@ namespace abg::core {
 namespace {
 
 TEST(AbgScheduler, DefaultConfiguration) {
-  AbgScheduler abg;
-  EXPECT_DOUBLE_EQ(abg.config().convergence_rate, 0.2);
-  EXPECT_EQ(abg.execution().name(), "b-greedy");
-  EXPECT_EQ(abg.request().name(), "a-control");
-  EXPECT_EQ(AbgScheduler::kName, "ABG");
-}
-
-TEST(AbgScheduler, MakeRequestPolicyIsIndependent) {
-  AbgScheduler abg(AbgConfig{.convergence_rate = 0.4});
-  const auto p1 = abg.make_request_policy();
-  const auto p2 = abg.make_request_policy();
-  EXPECT_NE(p1.get(), p2.get());
-  EXPECT_EQ(p1->first_request(), 1);
+  const SchedulerSpec abg = abg_spec();
+  EXPECT_EQ(abg.name, "ABG");
+  EXPECT_EQ(abg.execution->name(), "b-greedy");
+  EXPECT_EQ(abg.request->name(), "a-control");
+  const auto* control =
+      dynamic_cast<const sched::AControlRequest*>(abg.request.get());
+  ASSERT_NE(control, nullptr);
+  EXPECT_DOUBLE_EQ(control->config().convergence_rate, 0.2);
 }
 
 TEST(AGreedyScheduler, DefaultConfiguration) {
-  AGreedyScheduler ag;
-  EXPECT_DOUBLE_EQ(ag.config().utilization, 0.8);
-  EXPECT_DOUBLE_EQ(ag.config().responsiveness, 2.0);
-  EXPECT_EQ(ag.execution().name(), "greedy");
-  EXPECT_EQ(ag.request().name(), "a-greedy");
+  const SchedulerSpec ag = a_greedy_spec();
+  EXPECT_EQ(ag.name, "A-Greedy");
+  EXPECT_EQ(ag.execution->name(), "greedy");
+  EXPECT_EQ(ag.request->name(), "a-greedy");
+  const auto* mimd =
+      dynamic_cast<const sched::AGreedyRequest*>(ag.request.get());
+  ASSERT_NE(mimd, nullptr);
+  EXPECT_DOUBLE_EQ(mimd->config().utilization, 0.8);
+  EXPECT_DOUBLE_EQ(mimd->config().responsiveness, 2.0);
 }
 
 TEST(SchedulerSpec, FactoriesProduceCompleteSpecs) {

@@ -1,14 +1,12 @@
 // Cross-cutting integration tests tying independent subsystems together:
-// weighted allocation end-to-end, frequency response vs time-domain
-// simulation, work-stealing jobs inside the multiprogrammed simulator,
-// and Theorem 5 under the round-robin allocator (also fair and
-// non-reserving).
+// frequency response vs time-domain simulation, work-stealing jobs inside
+// the multiprogrammed simulator, and Theorem 5 under the round-robin
+// allocator (also fair and non-reserving).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "alloc/round_robin.hpp"
-#include "alloc/weighted_equipartition.hpp"
 #include "control/analysis.hpp"
 #include "control/closed_loop.hpp"
 #include "core/run.hpp"
@@ -21,40 +19,9 @@
 #include "steal/schedulers.hpp"
 #include "steal/work_stealing_job.hpp"
 #include "workload/job_set.hpp"
-#include "workload/profiles.hpp"
 
 namespace abg {
 namespace {
-
-TEST(WeightedPriority, HighWeightJobFinishesFirstEndToEnd) {
-  // Two identical greedy jobs; weights 1 : 4.  The heavy job should finish
-  // well before its peer, and both before a starvation bound.
-  auto make_subs = [] {
-    std::vector<sim::JobSubmission> subs;
-    for (int j = 0; j < 2; ++j) {
-      sim::JobSubmission s;
-      s.job = std::make_unique<dag::ProfileJob>(
-          workload::constant_profile(32, 500));
-      subs.push_back(std::move(s));
-    }
-    return subs;
-  };
-  const sim::SimConfig config{.processors = 20, .quantum_length = 50};
-
-  alloc::WeightedEquiPartition weighted({1.0, 4.0});
-  const sim::SimResult result =
-      core::run_set(core::abg_spec(), make_subs(), config, &weighted);
-  ASSERT_TRUE(sim::validate_result(result, 20).empty());
-  EXPECT_LT(result.jobs[1].completion_step, result.jobs[0].completion_step);
-
-  // Versus plain DEQ the heavy job improves.  (The light job may also
-  // finish earlier than under fair sharing: once the heavy job completes
-  // it inherits the whole machine — shortest-effective-service ordering
-  // can beat equal sharing for both.)
-  const sim::SimResult fair =
-      core::run_set(core::abg_spec(), make_subs(), config);
-  EXPECT_LT(result.jobs[1].completion_step, fair.jobs[1].completion_step);
-}
 
 TEST(FrequencyResponse, MatchesTimeDomainSinusoid) {
   // Drive the ABG closed loop with a sinusoid and compare the steady-state

@@ -150,9 +150,9 @@ TEST(ExecuteRun, OpenRunRejectsAReleaseSchedule) {
   spec.machine = {.processors = 16, .quantum_length = 50};
   spec.workload.release = ReleaseKind::kStaggered;
   spec.workload.release_gap = 100;
-  EXPECT_THROW(execute_run(spec, 1), std::invalid_argument);
+  EXPECT_THROW(execute_run(spec, 1, RunContext{}), std::invalid_argument);
   spec.workload.release = ReleaseKind::kBatched;
-  EXPECT_NO_THROW(execute_run(spec, 1));
+  EXPECT_NO_THROW(execute_run(spec, 1, RunContext{}));
 }
 
 TEST(ExecuteRun, HierFaultSpecFailsBeforeTheReferenceRun) {
@@ -162,7 +162,8 @@ TEST(ExecuteRun, HierFaultSpecFailsBeforeTheReferenceRun) {
   ASSERT_NE(spec.faults.scenario, FaultScenario::kNone);
   spec.hier_groups = 2;
   obs::MetricsRegistry registry;
-  EXPECT_THROW(execute_run(spec, 1, &registry), std::invalid_argument);
+  EXPECT_THROW(execute_run(spec, 1, RunContext{.metrics = &registry}),
+               std::invalid_argument);
   EXPECT_TRUE(registry.empty());
 }
 

@@ -222,16 +222,5 @@ TEST(FaultInjector, NextChangeIsTheNextEventOrWindowEnd) {
   EXPECT_EQ(late.next_change(100), 15);
 }
 
-TEST(FaultInjector, ResetRewindsThePlan) {
-  FaultInjector injector(step_failure_plan(0, 4));
-  injector.advance(0, 100);
-  EXPECT_EQ(injector.failed_processors(), 4);
-  injector.reset();
-  EXPECT_EQ(injector.failed_processors(), 0);
-  const WindowFaults replay = injector.advance(0, 100);
-  EXPECT_EQ(replay.applied.size(), 1u);
-  EXPECT_EQ(injector.failed_processors(), 4);
-}
-
 }  // namespace
 }  // namespace abg::fault

@@ -96,9 +96,12 @@ std::vector<sim::JobSubmission> two_job_set() {
 
 std::string result_fingerprint(const sim::SimResult& result) {
   std::stringstream out;
-  sim::write_result_csv(out, result);
-  for (const sim::JobTrace& trace : result.jobs) {
-    sim::write_trace_csv(out, trace);
+  out << "makespan " << result.makespan << '\n';
+  for (const sim::JobTrace& t : result.jobs) {
+    out << "job " << t.release_step << ' ' << t.completion_step << ' '
+        << t.work << ' ' << t.critical_path << ' ' << t.total_waste() << ' '
+        << t.quanta.size() << '\n';
+    sim::write_trace_csv(out, t);
   }
   return out.str();
 }

@@ -52,32 +52,6 @@ TEST(Reservoir, DeterministicForSeed) {
   EXPECT_EQ(a.samples(), b.samples());
 }
 
-TEST(Reservoir, MergeIsCommutative) {
-  const auto fill = [](Reservoir& r, std::uint64_t seed, double shift) {
-    util::Rng rng(seed);
-    for (int i = 0; i < 3000; ++i) {
-      r.add(shift + rng.uniform01() * 100.0);
-    }
-  };
-  Reservoir ab(128, 1);
-  Reservoir ba(128, 2);
-  {
-    Reservoir a(128, 3);
-    Reservoir b(128, 4);
-    fill(a, 11, 0.0);
-    fill(b, 12, 1000.0);
-    ab = a;
-    ab.merge(b);
-    ba = b;
-    ba.merge(a);
-  }
-  EXPECT_EQ(ab.seen(), ba.seen());
-  EXPECT_EQ(ab.samples(), ba.samples());
-  // The merged sample covers both halves of the union.
-  EXPECT_LT(ab.quantile(0.25), 100.0);
-  EXPECT_GT(ab.quantile(0.75), 1000.0);
-}
-
 TEST(DownsampledSeries, SpansStreamAtBoundedCapacity) {
   DownsampledSeries series(64);
   for (int i = 0; i < 10000; ++i) {
@@ -114,38 +88,6 @@ TEST(OnlineStats, SlowdownClampsCriticalPath) {
   OnlineStats stats;
   stats.record_completion(0, 100, 0, 1, 0);  // degenerate critical path
   EXPECT_DOUBLE_EQ(stats.slowdown().mean(), 100.0);
-}
-
-TEST(OnlineStats, MergeCombinesShardsCommutatively) {
-  const auto run_shard = [](std::uint64_t seed, int jobs) {
-    OnlineStats stats(OnlineStatsConfig{.reservoir_capacity = 256,
-                                        .series_capacity = 32,
-                                        .seed = seed});
-    util::Rng rng(seed);
-    dag::Steps now = 0;
-    for (int i = 0; i < jobs; ++i) {
-      const auto response =
-          static_cast<dag::Steps>(50.0 + rng.uniform01() * 500.0);
-      stats.record_completion(now, now + response, 40, 100, 5);
-      stats.record_queue_depth(now, i % 7);
-      now += 10;
-    }
-    return stats;
-  };
-  const OnlineStats a = run_shard(1, 900);
-  const OnlineStats b = run_shard(2, 1100);
-  OnlineStats ab = a;
-  ab.merge(b);
-  OnlineStats ba = b;
-  ba.merge(a);
-  EXPECT_EQ(ab.completed(), 2000);
-  EXPECT_EQ(ab.completed(), ba.completed());
-  EXPECT_EQ(ab.total_work(), ba.total_work());
-  EXPECT_DOUBLE_EQ(ab.response().mean(), ba.response().mean());
-  EXPECT_DOUBLE_EQ(ab.response_quantile(0.95), ba.response_quantile(0.95));
-  EXPECT_DOUBLE_EQ(ab.queue_depth().mean(), ba.queue_depth().mean());
-  EXPECT_EQ(ab.merges(), 1);
-  EXPECT_EQ(ba.merges(), 1);
 }
 
 TEST(OnlineStats, ToJsonCarriesTheSummary) {

@@ -120,7 +120,6 @@ TEST(OpenEngine, PublishesOpenEventsAndCounters) {
   EXPECT_EQ(registry.counter("open.arrivals").value(), 50);
   EXPECT_EQ(registry.counter("open.completed").value(), 50);
   EXPECT_EQ(registry.counter("open.admitted").value(), 50);
-  EXPECT_EQ(registry.counter("open.stats_merges").value(), 0);
   EXPECT_DOUBLE_EQ(registry.gauge("open.in_system_high_water").value(),
                    static_cast<double>(result.in_system_high_water));
 }

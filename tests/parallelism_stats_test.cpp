@@ -71,27 +71,6 @@ TEST(EmpiricalTransitionFactor, SquareWaveMeasuresSwing) {
   EXPECT_DOUBLE_EQ(empirical_transition_factor(t), 8.0);
 }
 
-TEST(ChangeFrequency, CountsRelativeChanges) {
-  // Pairs: 4->4 (0%), 4->8 (100%), 8->8.4 (5%): one change above 10%.
-  const sim::JobTrace t = trace_of({4.0, 4.0, 8.0, 8.4});
-  EXPECT_DOUBLE_EQ(parallelism_change_frequency(t, 0.1), 1.0 / 3.0);
-}
-
-TEST(ChangeFrequency, ThresholdZeroCountsAnyChange) {
-  const sim::JobTrace t = trace_of({4.0, 4.0, 8.0, 8.4});
-  EXPECT_DOUBLE_EQ(parallelism_change_frequency(t, 0.0), 2.0 / 3.0);
-}
-
-TEST(ChangeFrequency, ShortTracesAreZero) {
-  EXPECT_DOUBLE_EQ(parallelism_change_frequency(trace_of({4.0}), 0.1), 0.0);
-  EXPECT_DOUBLE_EQ(parallelism_change_frequency(sim::JobTrace{}, 0.1), 0.0);
-}
-
-TEST(ChangeFrequency, RejectsNegativeThreshold) {
-  EXPECT_THROW(parallelism_change_frequency(trace_of({1.0, 2.0}), -0.1),
-               std::invalid_argument);
-}
-
 TEST(ParallelismVariance, ConstantIsZero) {
   EXPECT_DOUBLE_EQ(parallelism_variance(trace_of({5.0, 5.0, 5.0})), 0.0);
 }

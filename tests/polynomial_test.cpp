@@ -12,7 +12,7 @@ TEST(Polynomial, DefaultIsZero) {
   Polynomial p;
   EXPECT_TRUE(p.is_zero());
   EXPECT_EQ(p.degree(), -1);
-  EXPECT_DOUBLE_EQ(p.eval(3.0), 0.0);
+  EXPECT_EQ(p.eval(3.0), std::complex<double>(0.0));
 }
 
 TEST(Polynomial, TrimsTrailingZeros) {
@@ -31,8 +31,8 @@ TEST(Polynomial, AllZeroCoefficientsIsZero) {
 TEST(Polynomial, EvalHorner) {
   // p(z) = 2 - 3z + z^2; p(2) = 2 - 6 + 4 = 0; p(5) = 2 - 15 + 25 = 12.
   Polynomial p({2.0, -3.0, 1.0});
-  EXPECT_DOUBLE_EQ(p.eval(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(p.eval(5.0), 12.0);
+  EXPECT_EQ(p.eval(2.0), std::complex<double>(0.0));
+  EXPECT_EQ(p.eval(5.0), std::complex<double>(12.0));
 }
 
 TEST(Polynomial, ComplexEval) {

@@ -29,10 +29,7 @@ TEST(ProfileJob, WorkAndCriticalPath) {
 
 TEST(ProfileJob, WidthAccessors) {
   ProfileJob job({2, 7});
-  EXPECT_EQ(job.width_at(0), 2);
-  EXPECT_EQ(job.width_at(1), 7);
-  EXPECT_THROW(job.width_at(2), std::invalid_argument);
-  ASSERT_EQ(job.widths().size(), 2u);
+  EXPECT_EQ(job.widths(), (std::vector<TaskCount>{2, 7}));
 }
 
 TEST(ProfileJob, StepRespectsBarrier) {

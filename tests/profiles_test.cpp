@@ -55,26 +55,6 @@ TEST(StepProfile, Shape) {
   EXPECT_EQ(w, (std::vector<dag::TaskCount>{1, 1, 9, 9, 9}));
 }
 
-TEST(RampProfile, EndsAtBothEndpoints) {
-  const auto w = ramp_profile(2, 10, 5);
-  ASSERT_EQ(w.size(), 5u);
-  EXPECT_EQ(w.front(), 2);
-  EXPECT_EQ(w.back(), 10);
-  EXPECT_TRUE(std::is_sorted(w.begin(), w.end()));
-}
-
-TEST(RampProfile, DownwardRamp) {
-  const auto w = ramp_profile(10, 2, 5);
-  EXPECT_EQ(w.front(), 10);
-  EXPECT_EQ(w.back(), 2);
-  EXPECT_TRUE(std::is_sorted(w.rbegin(), w.rend()));
-}
-
-TEST(RampProfile, SingleLevel) {
-  const auto w = ramp_profile(3, 9, 1);
-  EXPECT_EQ(w, (std::vector<dag::TaskCount>{3}));
-}
-
 TEST(SquareWave, RepeatsPeriods) {
   const auto w = square_wave_profile(1, 1, 5, 2, 3);
   EXPECT_EQ(w, (std::vector<dag::TaskCount>{1, 5, 5, 1, 5, 5, 1, 5, 5}));

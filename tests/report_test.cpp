@@ -62,18 +62,6 @@ class ReportOnSimulation : public ::testing::Test {
   }
 };
 
-TEST_F(ReportOnSimulation, UtilizationSeriesBounded) {
-  const SimResult result = run();
-  const auto series = machine_utilization_series(result, 16);
-  ASSERT_FALSE(series.empty());
-  for (const double u : series) {
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0 + 1e-9);
-  }
-  // Middle of the run: all three jobs converged, machine well used.
-  EXPECT_GT(series[series.size() / 2], 0.5);
-}
-
 TEST_F(ReportOnSimulation, AggregateUtilizationConsistent) {
   const SimResult result = run();
   const double u = machine_utilization(result, 16);
@@ -86,10 +74,8 @@ TEST_F(ReportOnSimulation, AggregateUtilizationConsistent) {
 
 TEST(Report, UtilizationValidation) {
   SimResult empty;
-  EXPECT_THROW(machine_utilization_series(empty, 0), std::invalid_argument);
   EXPECT_THROW(machine_utilization(empty, 0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(machine_utilization(empty, 4), 0.0);
-  EXPECT_TRUE(machine_utilization_series(empty, 4).empty());
 }
 
 TEST_F(ReportOnSimulation, GanttChartShape) {
@@ -126,7 +112,7 @@ TEST(Report, NonUniformQuantumLengthsRejected) {
   t.quanta = {q1, q2};
   result.jobs.push_back(std::move(t));
   result.makespan = 30;
-  EXPECT_THROW(machine_utilization_series(result, 4), std::invalid_argument);
+  EXPECT_THROW(gantt_chart(result, 4), std::invalid_argument);
 }
 
 }  // namespace

@@ -20,8 +20,8 @@ TEST(JsonWrite, NanRendersAsNull) {
 
 TEST(JsonParse, Scalars) {
   EXPECT_TRUE(Json::parse("null").is_null());
-  EXPECT_TRUE(Json::parse("true").as_boolean());
-  EXPECT_FALSE(Json::parse("false").as_boolean());
+  EXPECT_EQ(Json::parse("true").dump(), "true");
+  EXPECT_EQ(Json::parse("false").dump(), "false");
   EXPECT_EQ(Json::parse("-42").as_integer(), -42);
   EXPECT_DOUBLE_EQ(Json::parse("2.5e2").as_number(), 250.0);
   EXPECT_EQ(Json::parse("\"hi\"").as_string(), "hi");
@@ -42,7 +42,7 @@ TEST(JsonParse, ObjectAndArrayAccessors) {
   ASSERT_TRUE(doc.at("runs").is_array());
   EXPECT_EQ(doc.at("runs").size(), 3u);
   EXPECT_EQ(doc.at("runs").at(std::size_t{1}).as_integer(), 2);
-  EXPECT_TRUE(doc.at("meta").at("ok").as_boolean());
+  EXPECT_EQ(doc.at("meta").at("ok").dump(), "true");
   EXPECT_TRUE(doc.at("gap").is_null());
   EXPECT_EQ(doc.find("absent"), nullptr);
   EXPECT_THROW(doc.at("absent"), std::out_of_range);
@@ -110,7 +110,6 @@ TEST(JsonParse, ErrorsCarryByteOffset) {
 TEST(JsonAccessors, KindMismatchesThrow) {
   EXPECT_THROW(Json::integer(1).as_string(), std::logic_error);
   EXPECT_THROW(Json::string("x").as_integer(), std::logic_error);
-  EXPECT_THROW(Json::number(1.0).as_boolean(), std::logic_error);
   EXPECT_THROW(Json::array().members(), std::logic_error);
   EXPECT_THROW(Json::object().items(), std::logic_error);
   EXPECT_EQ(Json::integer(5).size(), 0u);

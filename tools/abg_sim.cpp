@@ -83,6 +83,7 @@
 #include "scenario/generators.hpp"
 #include "scenario/library.hpp"
 #include "fault/fault_plan.hpp"
+#include "hier/desire_aggregator.hpp"
 #include "dag/profile_job.hpp"
 #include "metrics/lower_bounds.hpp"
 #include "metrics/parallelism_stats.hpp"
@@ -561,11 +562,9 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (!config.hier.allocator.empty() && config.hier.allocator != "deq" &&
-        config.hier.allocator != "rr") {
-      throw std::invalid_argument("unknown --hier-alloc '" +
-                                  config.hier.allocator +
-                                  "' (expected deq|rr)");
+    if (!config.hier.allocator.empty()) {
+      // The group-allocator table rejects an unknown name up front.
+      abg::hier::make_group_allocator(config.hier.allocator);
     }
 
     // Cluster mode: --cluster-machines switches run_set onto the cluster

@@ -123,6 +123,7 @@
 #include "exp/journal.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/runner.hpp"
+#include "hier/desire_aggregator.hpp"
 #include "scenario/library.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -445,9 +446,9 @@ int main(int argc, char** argv) {
     if (!hier_alloc.empty() && hier_groups == 0) {
       throw std::invalid_argument("--hier-alloc requires --hier-groups");
     }
-    if (!hier_alloc.empty() && hier_alloc != "deq" && hier_alloc != "rr") {
-      throw std::invalid_argument("--hier-alloc: expected deq or rr, got '" +
-                                  hier_alloc + "'");
+    if (!hier_alloc.empty()) {
+      // The group-allocator table rejects an unknown name up front.
+      abg::hier::make_group_allocator(hier_alloc);
     }
     if (hier_threads > 1 && hier_groups == 0) {
       throw std::invalid_argument("--hier-threads requires --hier-groups");
