@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
       std::vector<abg::sim::JobSubmission> subs;
       for (const auto& g : generated) {
         abg::sim::JobSubmission s;
-        s.job = std::make_unique<abg::dag::ProfileJob>(g.job->widths());
+        s.job = g.job->fresh_clone();
         subs.push_back(std::move(s));
       }
       return subs;

@@ -26,7 +26,7 @@ std::vector<abg::sim::JobSubmission> submissions_of(
   subs.reserve(jobs.size());
   for (const auto& g : jobs) {
     abg::sim::JobSubmission s;
-    s.job = std::make_unique<abg::dag::ProfileJob>(g.job->widths());
+    s.job = g.job->fresh_clone();
     subs.push_back(std::move(s));
   }
   return subs;

@@ -71,11 +71,11 @@ DagStructure fork_join(const std::vector<PhaseSpec>& phases) {
   std::size_t total = 0;
   for (const PhaseSpec& p : phases) {
     require_positive(p.width, "phase width");
-    if (p.length < 1) {
+    if (p.levels < 1) {
       throw std::invalid_argument("builders: phase length must be >= 1");
     }
     total += static_cast<std::size_t>(p.width) *
-             static_cast<std::size_t>(p.length);
+             static_cast<std::size_t>(p.levels);
   }
   dag.children.resize(total);
 
@@ -87,10 +87,10 @@ DagStructure fork_join(const std::vector<PhaseSpec>& phases) {
     std::vector<NodeId> heads(w);
     std::vector<NodeId> tails(w);
     for (std::size_t b = 0; b < w; ++b) {
-      // Build one branch: a chain of p.length tasks.
+      // Build one branch: a chain of p.levels tasks.
       NodeId prev = static_cast<NodeId>(next_id++);
       heads[b] = prev;
-      for (Steps k = 1; k < p.length; ++k) {
+      for (Steps k = 1; k < p.levels; ++k) {
         const NodeId cur = static_cast<NodeId>(next_id++);
         dag.children[prev].push_back(cur);
         prev = cur;
@@ -146,19 +146,6 @@ DagStructure random_layered(util::Rng& rng, Steps levels, TaskCount max_width,
     }
   }
   return dag;
-}
-
-std::vector<TaskCount> profile_from_phases(
-    const std::vector<PhaseSpec>& phases) {
-  std::vector<TaskCount> widths;
-  for (const PhaseSpec& p : phases) {
-    require_positive(p.width, "phase width");
-    if (p.length < 1) {
-      throw std::invalid_argument("builders: phase length must be >= 1");
-    }
-    widths.insert(widths.end(), static_cast<std::size_t>(p.length), p.width);
-  }
-  return widths;
 }
 
 DagStructure grid(Steps rows, Steps cols) {

@@ -16,12 +16,11 @@
 
 namespace abg::dag::builders {
 
-/// One phase of a fork-join job: `length` consecutive levels of `width`
-/// parallel tasks.  width == 1 is a serial phase.
-struct PhaseSpec {
-  TaskCount width = 1;
-  Steps length = 1;
-};
+/// One phase of a fork-join job: `levels` consecutive levels of `width`
+/// parallel tasks.  width == 1 is a serial phase.  The same (width,
+/// levels) pair is ProfileJob's run encoding, so a phase list builds
+/// either form.
+using PhaseSpec = LevelRun;
 
 /// A linear chain of `length` tasks (T1 = T∞ = length).
 DagStructure chain(TaskCount length);
@@ -46,10 +45,6 @@ DagStructure fork_join(const std::vector<PhaseSpec>& phases);
 /// so the layer index is exactly the task's level.
 DagStructure random_layered(util::Rng& rng, Steps levels, TaskCount max_width,
                             double edge_prob);
-
-/// The level-width sequence corresponding to a phase list, for building the
-/// equivalent ProfileJob.
-std::vector<TaskCount> profile_from_phases(const std::vector<PhaseSpec>& phases);
 
 /// Wavefront grid (stencil): task (i, j) precedes (i+1, j) and (i, j+1).
 /// T1 = rows*cols, T∞ = rows + cols − 1; the parallelism profile is the

@@ -16,8 +16,8 @@ JobCharacteristics characteristics_of(const Job& job) {
           ? static_cast<double>(c.work) / static_cast<double>(c.critical_path)
           : 0.0;
   if (const auto* profile = dynamic_cast<const ProfileJob*>(&job)) {
-    for (const TaskCount w : profile->widths()) {
-      c.max_level_width = std::max(c.max_level_width, w);
+    for (const LevelRun& run : profile->runs()) {
+      c.max_level_width = std::max(c.max_level_width, run.width);
     }
   } else if (const auto* dagjob = dynamic_cast<const DagJob*>(&job)) {
     for (const TaskCount w : dagjob->level_sizes()) {

@@ -54,16 +54,34 @@ struct QuantumExecution {
   bool finished = false;
 };
 
+/// `levels` consecutive barrier levels of `width` tasks each: one maximal
+/// run of equal-width levels of a phase-structured job.
+struct LevelRun {
+  TaskCount width = 1;
+  Steps levels = 1;
+
+  friend bool operator==(const LevelRun&, const LevelRun&) = default;
+};
+
+/// Steps one barrier level of `tasks` tasks takes at `procs` (> 0) tasks
+/// per step: ceil(tasks / procs), without the overflow of the
+/// (tasks + procs - 1) / procs form.
+inline Steps steps_to_drain(TaskCount tasks, int procs) {
+  return tasks / procs + (tasks % procs != 0 ? 1 : 0);
+}
+
 /// Read-only view of a job's remaining phase structure, exposed by jobs
-/// whose execution is a pure function of (level widths, position): level
-/// `level` has `remaining_in_level` tasks left, and every later level
-/// `l > level` has its full `(*widths)[l]` tasks left.  A null `widths`
-/// means the job has no closed form and engines must run it stepwise.
-/// The async engine's stride planner (sim/quantum_eval.hpp) reads this
-/// view to find a job's next completion without mutating the job.
+/// whose execution is a pure function of (level runs, position): run
+/// `run` has `levels_left` levels left, the current one included, which
+/// has `remaining_in_level` tasks left; its other levels and every later
+/// run `r > run` are untouched.  A null `runs` means the job has no closed
+/// form and engines must run it stepwise.  The async engine's stride
+/// planner (sim/quantum_eval.hpp) reads this view to find a job's next
+/// completion without mutating the job.
 struct PhaseView {
-  const std::vector<TaskCount>* widths = nullptr;
-  std::size_t level = 0;
+  const std::vector<LevelRun>* runs = nullptr;
+  std::size_t run = 0;
+  Steps levels_left = 0;
   TaskCount remaining_in_level = 0;
 };
 

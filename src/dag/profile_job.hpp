@@ -4,11 +4,14 @@
 // structure: the DAG alternates serial and parallel phases, and every task
 // at level l+1 depends (via the fork/join tasks) on the completion of all
 // tasks at level l.  Such a job is fully described by its sequence of level
-// widths.  ProfileJob exploits this: execution state is just (current level,
-// tasks remaining in it), each unit step completes min(procs, remaining)
-// tasks, and a whole scheduling quantum can be executed in closed form in
-// O(levels spanned) instead of O(quantum length).  This is what makes the
-// paper-scale experiments (5000 job sets, L = 1000) tractable.
+// widths, which ProfileJob stores as maximal runs of equal width
+// (LevelRun).  Execution state is (run, levels left in it, tasks left in
+// the current level); each unit step completes min(procs, remaining)
+// tasks.  A whole scheduling quantum executes in closed form: the full
+// levels of a run at allotment a all take ceil(w / a) steps, so
+// run_quantum jumps them in one step and costs O(runs spanned), not
+// O(levels) or O(quantum length).  This is what makes the paper-scale
+// experiments (5000 job sets, L = 1000) tractable.
 //
 // ProfileJob is behaviourally identical to a DagJob built over the
 // equivalent barrier DAG (property-tested), for both pick orders: under a
@@ -27,31 +30,48 @@ namespace abg::dag {
 /// consecutive levels.
 class ProfileJob final : public Job {
  public:
-  /// Constructs from level widths.  Every width must be >= 1.  An empty
-  /// profile is a zero-work job that is already finished.
-  explicit ProfileJob(std::vector<TaskCount> level_widths);
+  /// Constructs from level widths, one per level.  Every width must be
+  /// >= 1.  An empty profile is a zero-work job that is already finished.
+  explicit ProfileJob(const std::vector<TaskCount>& level_widths);
+
+  /// Constructs from runs of equal-width levels.  Every run needs width
+  /// and levels >= 1; adjacent runs of equal width merge, so runs() is the
+  /// unique maximal-run encoding.  Throws std::invalid_argument when the
+  /// total work (sum of width * levels) or level count overflows int64.
+  static ProfileJob from_runs(std::vector<LevelRun> runs);
 
   bool finished() const override;
   TaskCount step(int procs, PickOrder order) override;
   QuantumExecution run_quantum(int procs, Steps budget,
                                PickOrder order) override;
   TaskCount total_work() const override { return total_work_; }
-  Steps critical_path() const override;
+  Steps critical_path() const override { return total_levels_; }
   TaskCount completed_work() const override { return completed_; }
   double level_progress() const override;
   TaskCount ready_count() const override;
   PhaseView phase_view() const override {
-    return PhaseView{widths_.get(), level_, remaining_in_level_};
+    return PhaseView{runs_.get(), run_, levels_left_, remaining_in_level_};
   }
   std::unique_ptr<Job> fresh_clone() const override;
 
-  /// The level widths this job was built from.
-  const std::vector<TaskCount>& widths() const { return *widths_; }
+  /// The maximal runs of equal-width levels this job is made of.
+  const std::vector<LevelRun>& runs() const { return *runs_; }
 
  private:
-  std::shared_ptr<const std::vector<TaskCount>> widths_;
+  struct RunsTag {};
+  ProfileJob(RunsTag, std::vector<LevelRun> runs);
+
+  /// Rewinds the execution state to the first level.
+  void restart();
+  /// Moves past the current, fully drained level.
+  void finish_level();
+
+  std::shared_ptr<const std::vector<LevelRun>> runs_;
   TaskCount total_work_ = 0;
-  std::size_t level_ = 0;          // current level index
+  Steps total_levels_ = 0;
+  std::size_t run_ = 0;            // current run index
+  Steps levels_left_ = 0;          // levels left in the run, current included
+  Steps level_ = 0;                // absolute index of the current level
   TaskCount remaining_in_level_ = 0;
   TaskCount completed_ = 0;
 };

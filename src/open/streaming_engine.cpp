@@ -11,7 +11,6 @@
 #include "dag/profile_job.hpp"
 #include "obs/event_bus.hpp"
 #include "sim/engine_core.hpp"
-#include "workload/profiles.hpp"
 
 namespace abg::open {
 
@@ -120,8 +119,14 @@ JobFactory default_open_job_factory(dag::Steps quantum_length) {
     const auto scaled_width = std::max<dag::TaskCount>(
         1, static_cast<dag::TaskCount>(
                std::round(static_cast<double>(width) * scale)));
-    return std::make_unique<dag::ProfileJob>(workload::square_wave_profile(
-        1, serial_levels, scaled_width, parallel_levels, periods));
+    std::vector<dag::LevelRun> runs;
+    runs.reserve(2 * static_cast<std::size_t>(periods));
+    for (int p = 0; p < periods; ++p) {
+      runs.push_back({1, serial_levels});
+      runs.push_back({scaled_width, parallel_levels});
+    }
+    return std::make_unique<dag::ProfileJob>(
+        dag::ProfileJob::from_runs(std::move(runs)));
   };
 }
 

@@ -136,18 +136,12 @@ void export_trace(std::ostream& out, const ScenarioSpec& spec,
       throw std::logic_error(
           "scenario: export_trace expects ProfileJob workloads");
     }
+    // runs() is the maximal-run encoding: one phase per run.
     util::Json phases = util::Json::array();
-    const std::vector<dag::TaskCount>& widths = job->widths();
-    for (std::size_t i = 0; i < widths.size();) {
-      std::size_t run = i + 1;
-      while (run < widths.size() && widths[run] == widths[i]) {
-        ++run;
-      }
+    for (const dag::LevelRun& run : job->runs()) {
       phases.push(util::Json::array()
-                      .push(util::Json::integer(widths[i]))
-                      .push(util::Json::integer(
-                          static_cast<std::int64_t>(run - i))));
-      i = run;
+                      .push(util::Json::integer(run.width))
+                      .push(util::Json::integer(run.levels)));
     }
     util::Json record = util::Json::object();
     record.set("release", util::Json::integer(sub.release_step));

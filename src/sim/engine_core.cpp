@@ -889,7 +889,7 @@ SimResult run_per_job_quanta(JobBatch& batch, const IntakeTotals& totals,
         // Next boundary of this job's own quantum clock.
         stride = std::min(stride, st.quantum_target - st.quantum_elapsed);
         const dag::PhaseView view = st.job->phase_view();
-        if (view.widths == nullptr) {
+        if (view.runs == nullptr) {
           stride = 1;
           break;
         }

@@ -40,7 +40,7 @@
 //     the driver plans the distance to the next event (quantum boundary,
 //     completion, admission eligibility, step bound) and advances all
 //     active jobs by that stride in closed form (sim/quantum_eval.hpp) —
-//     O(events + phase transitions) instead of O(steps).  A fault plan is
+//     O(events + level runs crossed) instead of O(steps).  A fault plan is
 //     a finite list of event steps, so its next event (or revocation
 //     expiry) bounds the stride like any other event.  The stride is one
 //     step while any active job lacks a phase view, and a unit stride

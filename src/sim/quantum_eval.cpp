@@ -6,29 +6,37 @@ namespace abg::sim::quantum_eval {
 
 dag::Steps steps_to_finish(const dag::PhaseView& view, int procs,
                            dag::Steps cap) {
-  if (view.widths == nullptr) {
+  if (view.runs == nullptr) {
     throw std::invalid_argument("steps_to_finish: job has no phase view");
   }
   if (procs < 0 || cap < 0) {
     throw std::invalid_argument("steps_to_finish: negative procs or cap");
   }
-  const std::vector<dag::TaskCount>& widths = *view.widths;
-  std::size_t level = view.level;
-  if (level >= widths.size()) {
+  const std::vector<dag::LevelRun>& runs = *view.runs;
+  if (view.run >= runs.size()) {
     return 0;
   }
   if (procs == 0) {
     return cap + 1;  // no progress is possible
   }
-  dag::TaskCount remaining = view.remaining_in_level;
-  dag::Steps steps = 0;
-  while (level < widths.size()) {
-    steps += static_cast<dag::Steps>((remaining + procs - 1) / procs);
-    if (steps > cap) {
+  // The current level, then the untouched rest of its run, then every
+  // later run: `rest` full levels at `per` steps each.  `steps <= cap`
+  // holds throughout, so `cap - steps` cannot overflow and the product
+  // is only formed once it is known to fit.
+  dag::Steps steps = dag::steps_to_drain(view.remaining_in_level, procs);
+  if (steps > cap) {
+    return cap + 1;
+  }
+  dag::Steps rest = view.levels_left - 1;
+  for (std::size_t r = view.run; r < runs.size(); ++r) {
+    const dag::Steps per = dag::steps_to_drain(runs[r].width, procs);
+    if (rest > (cap - steps) / per) {
       return cap + 1;
     }
-    ++level;
-    remaining = level < widths.size() ? widths[level] : 0;
+    steps += rest * per;
+    if (r + 1 < runs.size()) {
+      rest = runs[r + 1].levels;
+    }
   }
   return steps;
 }

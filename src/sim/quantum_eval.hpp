@@ -1,11 +1,12 @@
 // Skip-ahead quantum evaluation.
 //
-// For phase-structured jobs (dag::PhaseView: level widths + position) the
-// outcome of running at a fixed allotment is closed-form: each level of
-// width w takes ceil(w / a) steps behind its barrier, so the completion
-// step follows from a walk over the remaining levels — O(phase
-// transitions), not O(steps).  dag::ProfileJob::run_quantum executes that
-// walk; this module holds the engines' shared helpers around it:
+// For phase-structured jobs (dag::PhaseView: runs of equal-width levels +
+// position) the outcome of running at a fixed allotment is closed-form:
+// each level of width w takes ceil(w / a) steps behind its barrier, so a
+// run of n such levels takes n * ceil(w / a) and the completion step
+// follows from a walk over the remaining runs — O(runs spanned), not
+// O(levels) or O(steps).  dag::ProfileJob::run_quantum executes that walk;
+// this module holds the engines' shared helpers around it:
 //
 //   * steps_to_finish — exact steps until completion at a fixed
 //     allotment, capped (the async engine's stride planner uses this to

@@ -36,14 +36,10 @@ std::vector<dag::builders::PhaseSpec> fork_join_phases(
   return phases;
 }
 
-std::vector<dag::TaskCount> fork_join_widths(util::Rng& rng,
-                                             const ForkJoinSpec& spec) {
-  return dag::builders::profile_from_phases(fork_join_phases(rng, spec));
-}
-
 std::unique_ptr<dag::ProfileJob> make_fork_join_job(util::Rng& rng,
                                                     const ForkJoinSpec& spec) {
-  return std::make_unique<dag::ProfileJob>(fork_join_widths(rng, spec));
+  return std::make_unique<dag::ProfileJob>(
+      dag::ProfileJob::from_runs(fork_join_phases(rng, spec)));
 }
 
 ForkJoinSpec figure5_spec(double transition_factor,

@@ -4,7 +4,7 @@
 // transition factor is controlled by the level of parallelism in the
 // parallel phases, and work / critical-path diversity comes from varying
 // the length of each phase.  A generated job is a ProfileJob whose level
-// widths alternate between 1 (serial) and the target width (parallel),
+// runs alternate between width 1 (serial) and the target width (parallel),
 // with per-phase lengths drawn log-uniformly.  Phase lengths are scaled
 // relative to the quantum length so that individual quanta are dominated by
 // one phase type — this is what makes the realized per-quantum parallelism
@@ -36,16 +36,13 @@ struct ForkJoinSpec {
 /// The phase list of one random fork-join job: alternating serial
 /// (width 1) and parallel (width = transition factor) phases with
 /// log-uniform lengths.  Feed to dag::builders::fork_join for the explicit
-/// branch-chain DAG or to profile_from_phases for the ProfileJob widths.
+/// branch-chain DAG or to dag::ProfileJob::from_runs for the barrier
+/// profile.
 std::vector<dag::builders::PhaseSpec> fork_join_phases(
     util::Rng& rng, const ForkJoinSpec& spec);
 
-/// Level widths of one random fork-join job (the barrier-profile view of
-/// fork_join_phases).
-std::vector<dag::TaskCount> fork_join_widths(util::Rng& rng,
-                                             const ForkJoinSpec& spec);
-
-/// A random fork-join ProfileJob.
+/// A random fork-join ProfileJob, built from its phase list as runs (no
+/// per-level storage).
 std::unique_ptr<dag::ProfileJob> make_fork_join_job(util::Rng& rng,
                                                     const ForkJoinSpec& spec);
 

@@ -191,8 +191,7 @@ TEST(AsyncSimulator, ComparableToSynchronousOnJobSets) {
   auto subs_for = [&generated] {
     std::vector<JobSubmission> subs;
     for (const auto& g : generated) {
-      subs.push_back(JobSubmission{
-          std::make_unique<dag::ProfileJob>(g.job->widths()), 0, {}});
+      subs.push_back(JobSubmission{g.job->fresh_clone(), 0, {}});
     }
     return subs;
   };

@@ -144,16 +144,18 @@ TEST(RandomLayered, RejectsBadArguments) {
 }
 
 TEST(ProfileFromPhases, ExpandsWidths) {
-  const auto widths = profile_from_phases({{1, 2}, {5, 3}});
-  const std::vector<TaskCount> expected{1, 1, 5, 5, 5};
-  EXPECT_EQ(widths, expected);
+  // A phase list and its per-level expansion build the same profile.
+  const ProfileJob from_phases = ProfileJob::from_runs({{1, 2}, {5, 3}});
+  const ProfileJob from_widths({1, 1, 5, 5, 5});
+  EXPECT_EQ(from_phases.runs(), from_widths.runs());
+  EXPECT_EQ(from_phases.total_work(), 17);
+  EXPECT_EQ(from_phases.critical_path(), 5);
 }
 
 TEST(ProfileFromPhases, MatchesForkJoinWorkAndCpl) {
   const std::vector<PhaseSpec> phases{{1, 3}, {4, 2}, {1, 1}, {7, 2}};
-  const auto widths = profile_from_phases(phases);
   DagJob dag_job{fork_join(phases)};
-  ProfileJob profile_job{widths};
+  const ProfileJob profile_job = ProfileJob::from_runs(phases);
   EXPECT_EQ(dag_job.total_work(), profile_job.total_work());
   EXPECT_EQ(dag_job.critical_path(), profile_job.critical_path());
 }

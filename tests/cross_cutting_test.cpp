@@ -132,7 +132,7 @@ TEST(AutoRateScheduler, CompetitiveAcrossJobSet) {
     std::vector<sim::JobSubmission> subs;
     for (const auto& g : generated) {
       sim::JobSubmission s;
-      s.job = std::make_unique<dag::ProfileJob>(g.job->widths());
+      s.job = g.job->fresh_clone();
       subs.push_back(std::move(s));
     }
     return subs;

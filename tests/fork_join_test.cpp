@@ -18,11 +18,12 @@ TEST(ForkJoinWidths, AlternatesSerialAndParallel) {
   spec.phase_pairs = 3;
   spec.min_phase_levels = 2;
   spec.max_phase_levels = 5;
-  const auto widths = fork_join_widths(rng, spec);
+  const auto job = make_fork_join_job(rng, spec);
   // Only widths 1 and 8 appear, and both do.
   bool saw_serial = false;
   bool saw_parallel = false;
-  for (const auto w : widths) {
+  for (const dag::LevelRun& run : job->runs()) {
+    const dag::TaskCount w = run.width;
     EXPECT_TRUE(w == 1 || w == 8) << "unexpected width " << w;
     saw_serial = saw_serial || w == 1;
     saw_parallel = saw_parallel || w == 8;
@@ -38,25 +39,14 @@ TEST(ForkJoinWidths, PhaseLengthsWithinRange) {
   spec.phase_pairs = 5;
   spec.min_phase_levels = 3;
   spec.max_phase_levels = 7;
-  const auto widths = fork_join_widths(rng, spec);
-  // Run-length encode and check each phase length.
-  std::size_t i = 0;
-  int phases = 0;
-  while (i < widths.size()) {
-    std::size_t j = i;
-    while (j < widths.size() && widths[j] == widths[i]) {
-      ++j;
-    }
-    const auto run = static_cast<dag::Steps>(j - i);
-    EXPECT_GE(run, 3);
-    // Adjacent same-width phases can merge in the encoding (serial phases
-    // are all width 1 and never adjacent, but two parallel phases are
-    // separated by a serial phase, so runs are at most one phase).
-    EXPECT_LE(run, 7);
-    ++phases;
-    i = j;
+  const auto job = make_fork_join_job(rng, spec);
+  // Adjacent same-width phases would merge into one run, but serial and
+  // parallel phases alternate, so every run is exactly one phase.
+  for (const dag::LevelRun& run : job->runs()) {
+    EXPECT_GE(run.levels, 3);
+    EXPECT_LE(run.levels, 7);
   }
-  EXPECT_EQ(phases, 10);  // 5 pairs = 10 phases
+  EXPECT_EQ(job->runs().size(), 10u);  // 5 pairs = 10 phases
 }
 
 TEST(ForkJoinPhases, WidthsMatchPhaseExpansion) {
@@ -68,13 +58,13 @@ TEST(ForkJoinPhases, WidthsMatchPhaseExpansion) {
   util::Rng a(31);
   util::Rng b(31);
   const auto phases = fork_join_phases(a, spec);
-  const auto widths = fork_join_widths(b, spec);
-  EXPECT_EQ(dag::builders::profile_from_phases(phases), widths);
+  const auto job = make_fork_join_job(b, spec);
+  EXPECT_EQ(job->runs(), phases);
   ASSERT_EQ(phases.size(), 6u);
   for (std::size_t i = 0; i < phases.size(); ++i) {
     EXPECT_EQ(phases[i].width, i % 2 == 0 ? 1 : 5);
-    EXPECT_GE(phases[i].length, 2);
-    EXPECT_LE(phases[i].length, 9);
+    EXPECT_GE(phases[i].levels, 2);
+    EXPECT_LE(phases[i].levels, 9);
   }
 }
 
@@ -87,7 +77,7 @@ TEST(ForkJoinPhases, DagAndProfileShareCharacteristics) {
   util::Rng rng(77);
   const auto phases = fork_join_phases(rng, spec);
   dag::DagJob dag_job{dag::builders::fork_join(phases)};
-  dag::ProfileJob profile_job{dag::builders::profile_from_phases(phases)};
+  const dag::ProfileJob profile_job = dag::ProfileJob::from_runs(phases);
   EXPECT_EQ(dag_job.total_work(), profile_job.total_work());
   EXPECT_EQ(dag_job.critical_path(), profile_job.critical_path());
 }
@@ -96,21 +86,22 @@ TEST(ForkJoinWidths, Deterministic) {
   ForkJoinSpec spec = figure5_spec(10.0, 100);
   util::Rng a(5);
   util::Rng b(5);
-  EXPECT_EQ(fork_join_widths(a, spec), fork_join_widths(b, spec));
+  EXPECT_EQ(make_fork_join_job(a, spec)->runs(),
+            make_fork_join_job(b, spec)->runs());
 }
 
 TEST(ForkJoinWidths, Validation) {
   util::Rng rng(1);
   ForkJoinSpec spec;
   spec.transition_factor = 0.5;
-  EXPECT_THROW(fork_join_widths(rng, spec), std::invalid_argument);
+  EXPECT_THROW(make_fork_join_job(rng, spec), std::invalid_argument);
   spec = ForkJoinSpec{};
   spec.phase_pairs = 0;
-  EXPECT_THROW(fork_join_widths(rng, spec), std::invalid_argument);
+  EXPECT_THROW(make_fork_join_job(rng, spec), std::invalid_argument);
   spec = ForkJoinSpec{};
   spec.min_phase_levels = 10;
   spec.max_phase_levels = 5;
-  EXPECT_THROW(fork_join_widths(rng, spec), std::invalid_argument);
+  EXPECT_THROW(make_fork_join_job(rng, spec), std::invalid_argument);
 }
 
 TEST(MakeForkJoinJob, JobCharacteristics) {

@@ -71,7 +71,7 @@ TEST(JobSet, Deterministic) {
   const auto jb = make_job_set(b, small_spec(1.5));
   ASSERT_EQ(ja.size(), jb.size());
   for (std::size_t i = 0; i < ja.size(); ++i) {
-    EXPECT_EQ(ja[i].job->widths(), jb[i].job->widths());
+    EXPECT_EQ(ja[i].job->runs(), jb[i].job->runs());
   }
 }
 

@@ -122,7 +122,7 @@ TEST(PaperComparison, LightlyLoadedJobSetsAbgCompetitive) {
       std::vector<sim::JobSubmission> subs;
       for (const auto& g : gs) {
         sim::JobSubmission s;
-        s.job = std::make_unique<dag::ProfileJob>(g.job->widths());
+        s.job = g.job->fresh_clone();
         subs.push_back(std::move(s));
       }
       return subs;
@@ -161,7 +161,7 @@ TEST(PaperComparison, HeavyLoadAdvantageDiminishes) {
     std::vector<sim::JobSubmission> subs;
     for (const auto& g : generated) {
       sim::JobSubmission s;
-      s.job = std::make_unique<dag::ProfileJob>(g.job->widths());
+      s.job = g.job->fresh_clone();
       subs.push_back(std::move(s));
     }
     return subs;

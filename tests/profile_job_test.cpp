@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "util/rng.hpp"
@@ -28,8 +29,35 @@ TEST(ProfileJob, WorkAndCriticalPath) {
 }
 
 TEST(ProfileJob, WidthAccessors) {
-  ProfileJob job({2, 7});
-  EXPECT_EQ(job.widths(), (std::vector<TaskCount>{2, 7}));
+  ProfileJob job({2, 7, 7, 7, 2});
+  EXPECT_EQ(job.runs(), (std::vector<LevelRun>{{2, 1}, {7, 3}, {2, 1}}));
+}
+
+TEST(ProfileJob, FromRunsMergesAdjacentEqualWidths) {
+  const ProfileJob job =
+      ProfileJob::from_runs({{1, 2}, {1, 3}, {4, 1}, {4, 2}, {1, 1}});
+  EXPECT_EQ(job.runs(), (std::vector<LevelRun>{{1, 5}, {4, 3}, {1, 1}}));
+  EXPECT_EQ(job.total_work(), 5 + 12 + 1);
+  EXPECT_EQ(job.critical_path(), 9);
+  EXPECT_THROW(ProfileJob::from_runs({{0, 2}}), std::invalid_argument);
+  EXPECT_THROW(ProfileJob::from_runs({{3, 0}}), std::invalid_argument);
+}
+
+TEST(ProfileJob, FromRunsRejectsInt64Overflow) {
+  constexpr TaskCount kMax = std::numeric_limits<TaskCount>::max();
+  // One run whose width * levels overflows.
+  EXPECT_THROW(ProfileJob::from_runs({{kMax / 2 + 1, 2}}),
+               std::invalid_argument);
+  // Runs that fit alone but whose work sums past the limit.
+  EXPECT_THROW(ProfileJob::from_runs({{kMax / 2, 1}, {2, kMax / 4 + 2}}),
+               std::invalid_argument);
+  // A level count past the limit (equal widths that would merge).
+  EXPECT_THROW(ProfileJob::from_runs({{1, kMax}, {1, 1}}),
+               std::invalid_argument);
+  // Exactly at the limit is fine.
+  const ProfileJob at_limit = ProfileJob::from_runs({{1, kMax - 1}, {1, 1}});
+  EXPECT_EQ(at_limit.total_work(), kMax);
+  EXPECT_EQ(at_limit.critical_path(), kMax);
 }
 
 TEST(ProfileJob, StepRespectsBarrier) {

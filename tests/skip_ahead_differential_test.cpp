@@ -39,7 +39,7 @@ namespace {
 class OpaqueProfileJob final : public dag::Job {
  public:
   explicit OpaqueProfileJob(std::vector<dag::TaskCount> widths)
-      : inner_(std::move(widths)) {}
+      : widths_(std::move(widths)), inner_(widths_) {}
 
   bool finished() const override { return inner_.finished(); }
   dag::TaskCount step(int procs, dag::PickOrder order) override {
@@ -59,10 +59,11 @@ class OpaqueProfileJob final : public dag::Job {
     return inner_.ready_count();
   }
   std::unique_ptr<dag::Job> fresh_clone() const override {
-    return std::make_unique<OpaqueProfileJob>(inner_.widths());
+    return std::make_unique<OpaqueProfileJob>(widths_);
   }
 
  private:
+  std::vector<dag::TaskCount> widths_;
   dag::ProfileJob inner_;
 };
 

@@ -157,8 +157,12 @@ TEST(AStealScheduler, RunsForkJoinJobToCompletion) {
                                   .min_phase_levels = 50,
                                   .max_phase_levels = 150});
   // Work stealing needs the explicit DAG form.
-  WorkStealingJob job(
-      dag::builders::barrier_profile(widths_job->widths()), 23);
+  std::vector<dag::TaskCount> widths;
+  for (const dag::LevelRun& run : widths_job->runs()) {
+    widths.insert(widths.end(), static_cast<std::size_t>(run.levels),
+                  run.width);
+  }
+  WorkStealingJob job(dag::builders::barrier_profile(widths), 23);
   const sim::JobTrace trace = core::run_single(
       a_steal_spec(), job,
       sim::SingleJobConfig{.processors = 32, .quantum_length = 50});

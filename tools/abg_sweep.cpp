@@ -443,15 +443,18 @@ int main(int argc, char** argv) {
     const std::string hier_alloc = cli.get("hier-alloc", "");
     const auto hier_threads =
         static_cast<int>(cli.get_positive_int("hier-threads", 1));
-    if (!hier_alloc.empty() && hier_groups == 0) {
-      throw std::invalid_argument("--hier-alloc requires --hier-groups");
+    if (hier_groups == 0) {
+      // Whatever their value, as abg_sim rules.
+      for (const char* flag : {"hier-alloc", "hier-threads"}) {
+        if (cli.has(flag)) {
+          throw std::invalid_argument(std::string("--") + flag +
+                                      " requires --hier-groups");
+        }
+      }
     }
     if (!hier_alloc.empty()) {
       // The group-allocator table rejects an unknown name up front.
       abg::hier::make_group_allocator(hier_alloc);
-    }
-    if (hier_threads > 1 && hier_groups == 0) {
-      throw std::invalid_argument("--hier-threads requires --hier-groups");
     }
 
     // Open-system knobs: global (not grid dimensions) — every open grid
