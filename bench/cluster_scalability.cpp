@@ -46,8 +46,8 @@ std::vector<sim::JobSubmission> make_submissions(int njobs,
     const auto high = static_cast<dag::TaskCount>(
         2 + 4 * klass + rng.uniform_int(0, 3));
     sim::JobSubmission s;
-    s.job = std::make_unique<dag::ProfileJob>(
-        workload::square_wave_profile(1, 20, high, 20, 3));
+    s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        workload::square_wave_profile(1, 20, high, 20, 3)));
     s.name = "class" + std::to_string(klass);
     subs.push_back(std::move(s));
   }

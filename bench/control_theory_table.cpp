@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
       const bool stable = abg::control::is_bibo_stable(loop);
       const double sym_error = abg::control::steady_state_error(loop);
 
-      abg::dag::ProfileJob job(abg::workload::constant_profile(
-          parallelism, 60 * machine.quantum_length));
+      auto job = abg::dag::ProfileJob::from_runs(
+          abg::workload::constant_profile(parallelism,
+                                          60 * machine.quantum_length));
       const abg::sim::JobTrace trace = abg::core::run_single(
           abg::core::abg_spec(
               abg::core::AbgConfig{.convergence_rate = rate}),

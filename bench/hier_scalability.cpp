@@ -41,8 +41,8 @@ std::vector<sim::JobSubmission> make_submissions(int njobs,
   for (int i = 0; i < njobs; ++i) {
     const auto high = static_cast<dag::TaskCount>(2 + rng.uniform_int(0, 10));
     sim::JobSubmission s;
-    s.job = std::make_unique<dag::ProfileJob>(
-        workload::square_wave_profile(1, 25, high, 25, 2));
+    s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        workload::square_wave_profile(1, 25, high, 25, 2)));
     subs.push_back(std::move(s));
   }
   return subs;

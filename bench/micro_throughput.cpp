@@ -47,9 +47,8 @@ namespace {
 
 void BM_ProfileJobQuantum(benchmark::State& state) {
   // One quantum of closed-form execution over many levels.
-  const auto widths = abg::workload::square_wave_profile(
-      1, 100, 64, 100, 50);
-  abg::dag::ProfileJob job(widths);
+  const auto job = abg::dag::ProfileJob::from_runs(
+      abg::workload::square_wave_profile(1, 100, 64, 100, 50));
   for (auto _ : state) {
     auto clone = job.fresh_clone();
     abg::dag::TaskCount total = 0;
@@ -201,7 +200,7 @@ BENCHMARK(BM_JobSetSimulationObserved)
 // Items processed == simulated steps advanced (makespan per run), so the
 // reported items_per_second is simulated-steps/sec on that axis.
 
-std::vector<abg::dag::TaskCount> shape_widths(const std::string& shape) {
+std::vector<abg::dag::LevelRun> shape_runs(const std::string& shape) {
   if (shape == "square") {
     return abg::workload::square_wave_profile(1, 40, 64, 40, 60);
   }
@@ -213,12 +212,13 @@ std::vector<abg::dag::TaskCount> shape_widths(const std::string& shape) {
 
 std::vector<abg::sim::JobSubmission> make_shaped_set(const std::string& shape,
                                                      std::size_t jobs) {
-  const auto widths = shape_widths(shape);
+  const auto runs = shape_runs(shape);
   std::vector<abg::sim::JobSubmission> subs;
   subs.reserve(jobs);
   for (std::size_t i = 0; i < jobs; ++i) {
     abg::sim::JobSubmission s;
-    s.job = std::make_unique<abg::dag::ProfileJob>(widths);
+    s.job = std::make_unique<abg::dag::ProfileJob>(
+        abg::dag::ProfileJob::from_runs(runs));
     s.release_step = static_cast<abg::dag::Steps>(i * 500);
     subs.push_back(std::move(s));
   }

@@ -148,8 +148,8 @@ std::vector<sim::JobSubmission> build_workload(const RunSpec& spec,
         const auto high = static_cast<dag::TaskCount>(rng.uniform_int(8, 24));
         const dag::Steps phase = rng.uniform_int(levels / 8, levels / 3);
         sim::JobSubmission s;
-        s.job = std::make_unique<dag::ProfileJob>(
-            workload::square_wave_profile(low, phase, high, phase, 4));
+        s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+            workload::square_wave_profile(low, phase, high, phase, 4)));
         subs.push_back(std::move(s));
       }
       break;

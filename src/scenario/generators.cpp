@@ -16,7 +16,7 @@ namespace {
 
 /// Hard cap on a single generated job's profile length.  Scenario files
 /// are external input; a typoed work target must fail loudly instead of
-/// materializing a multi-gigabyte width vector.
+/// quietly generating a job many orders of magnitude too long.
 constexpr std::size_t kMaxLevelsPerJob = std::size_t{1} << 24;
 
 void check_profile_size(std::size_t levels, const ScenarioSpec& spec) {
@@ -62,11 +62,14 @@ const ClassSpec& pick_class(const std::vector<ClassSpec>& classes,
   return classes.back();
 }
 
-void append_levels(std::vector<dag::TaskCount>& widths, std::int64_t width,
+void append_levels(std::vector<dag::LevelRun>& runs, std::int64_t width,
                    std::int64_t levels, const ScenarioSpec& spec) {
-  check_profile_size(widths.size() + static_cast<std::size_t>(levels), spec);
-  widths.insert(widths.end(), static_cast<std::size_t>(levels),
-                static_cast<dag::TaskCount>(width));
+  std::size_t total = static_cast<std::size_t>(levels);
+  for (const dag::LevelRun& run : runs) {
+    total += static_cast<std::size_t>(run.levels);
+  }
+  check_profile_size(total, spec);
+  runs.push_back(dag::LevelRun{width, levels});
 }
 
 /// The sublinear-speedup staircase: widths halve geometrically from
@@ -75,10 +78,10 @@ void append_levels(std::vector<dag::TaskCount>& widths, std::int64_t width,
 /// alpha < 1 the work mass concentrates at narrow widths, so adding
 /// processors helps sublinearly — the s(k) ~ k^alpha regime heSRPT-style
 /// allocation is designed for.
-std::vector<dag::TaskCount> sublinear_profile(const ScenarioSpec& spec,
-                                              const ClassSpec& klass,
-                                              util::Rng& rng, int processors,
-                                              double work_scale) {
+std::vector<dag::LevelRun> sublinear_profile(const ScenarioSpec& spec,
+                                             const ClassSpec& klass,
+                                             util::Rng& rng, int processors,
+                                             double work_scale) {
   std::int64_t max_width = klass.max_width.sample(rng);
   if (max_width == 0) {
     max_width = processors;
@@ -100,24 +103,24 @@ std::vector<dag::TaskCount> sublinear_profile(const ScenarioSpec& spec,
   }
   const double scale = static_cast<double>(work) / denominator;
 
-  std::vector<dag::TaskCount> widths;
+  std::vector<dag::LevelRun> runs;
   for (const std::int64_t w : stair) {
     const std::int64_t levels = std::max<std::int64_t>(
         1, std::llround(scale *
                         std::pow(static_cast<double>(w), klass.alpha - 2.0)));
-    append_levels(widths, w, levels, spec);
+    append_levels(runs, w, levels, spec);
   }
-  return widths;
+  return runs;
 }
 
 }  // namespace
 
-std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
-                                           util::Rng& rng, int processors,
-                                           dag::Steps quantum,
-                                           double work_scale,
-                                           std::size_t job_index,
-                                           std::string* class_label) {
+std::vector<dag::LevelRun> sample_profile(const ScenarioSpec& spec,
+                                          util::Rng& rng, int processors,
+                                          dag::Steps quantum,
+                                          double work_scale,
+                                          std::size_t job_index,
+                                          std::string* class_label) {
   if (processors < 1 || quantum < 1) {
     throw std::invalid_argument(
         "scenario: processors and quantum must be >= 1");
@@ -126,7 +129,7 @@ std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
   if (class_label != nullptr) {
     *class_label = to_string(spec.generator);
   }
-  std::vector<dag::TaskCount> widths;
+  std::vector<dag::LevelRun> runs;
   switch (spec.generator) {
     case GeneratorKind::kMultiphase: {
       for (const PhaseSpec& phase : spec.phases) {
@@ -134,7 +137,7 @@ std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
             std::max<std::int64_t>(1, phase.width.sample(rng));
         const std::int64_t levels =
             scale_levels(phase.levels.sample(rng), work_scale);
-        append_levels(widths, width, levels, spec);
+        append_levels(runs, width, levels, spec);
       }
       break;
     }
@@ -144,7 +147,7 @@ std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
         *class_label =
             "class" + std::to_string(&klass - spec.classes.data());
       }
-      widths = sublinear_profile(spec, klass, rng, processors, work_scale);
+      runs = sublinear_profile(spec, klass, rng, processors, work_scale);
       break;
     }
     case GeneratorKind::kMapReduce: {
@@ -158,9 +161,9 @@ std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
           std::max<std::int64_t>(1, spec.reduces.sample(rng));
       const std::int64_t reduce_levels =
           scale_levels(spec.reduce_levels.sample(rng), work_scale);
-      append_levels(widths, maps, map_levels, spec);
-      append_levels(widths, 1, shuffle_levels, spec);
-      append_levels(widths, reduces, reduce_levels, spec);
+      append_levels(runs, maps, map_levels, spec);
+      append_levels(runs, 1, shuffle_levels, spec);
+      append_levels(runs, reduces, reduce_levels, spec);
       break;
     }
     case GeneratorKind::kOscillator: {
@@ -184,7 +187,7 @@ std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
       check_profile_size(static_cast<std::size_t>(2 * half) *
                              static_cast<std::size_t>(reps),
                          spec);
-      widths = workload::square_wave_profile(
+      runs = workload::square_wave_profile(
           static_cast<dag::TaskCount>(low), half,
           static_cast<dag::TaskCount>(high), half, static_cast<int>(reps));
       break;
@@ -193,13 +196,13 @@ std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
       const ExplicitJob& job =
           spec.explicit_jobs[job_index % spec.explicit_jobs.size()];
       for (const ExplicitPhase& phase : job.phases) {
-        append_levels(widths, phase.width,
+        append_levels(runs, phase.width,
                       scale_levels(phase.levels, work_scale), spec);
       }
       break;
     }
   }
-  return widths;
+  return runs;
 }
 
 std::vector<sim::JobSubmission> generate_jobs(const ScenarioSpec& spec,
@@ -215,8 +218,8 @@ std::vector<sim::JobSubmission> generate_jobs(const ScenarioSpec& spec,
     sim::JobSubmission sub;
     // The class label rides along as the submission name (unused by the
     // engines; the cluster's class-affinity router keys on it).
-    sub.job = std::make_unique<dag::ProfileJob>(
-        sample_profile(spec, rng, processors, quantum, 1.0, j, &sub.name));
+    sub.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        sample_profile(spec, rng, processors, quantum, 1.0, j, &sub.name)));
     subs.push_back(std::move(sub));
   }
   // Releases are assigned after every job is generated, so the job shapes
@@ -255,8 +258,9 @@ open::JobFactory make_open_factory(const ScenarioSpec& spec, int processors,
       index = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(shared->explicit_jobs.size()) - 1));
     }
-    return std::make_unique<dag::ProfileJob>(sample_profile(
-        *shared, rng, processors, quantum, arrival.work_scale, index));
+    return std::make_unique<dag::ProfileJob>(
+        dag::ProfileJob::from_runs(sample_profile(
+            *shared, rng, processors, quantum, arrival.work_scale, index)));
   };
 }
 

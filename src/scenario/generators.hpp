@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "dag/job.hpp"
 #include "open/streaming_engine.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
@@ -33,20 +34,20 @@ std::vector<sim::JobSubmission> generate_jobs(const ScenarioSpec& spec,
 open::JobFactory make_open_factory(const ScenarioSpec& spec, int processors,
                                    dag::Steps quantum);
 
-/// The level-width profile of one generated job (exposed for the
-/// trace exporter and tests).  `work_scale` multiplies the job's size
-/// (level counts / work targets) the way open arrivals do; pass 1.0 for
-/// closed runs.  kExplicit ignores the rng and reads `job_index` modulo
-/// the literal list; other generators ignore `job_index`.  When
-/// `class_label` is non-null it receives the job's class name — the
-/// generator name, or "class<i>" for the sublinear class actually drawn —
-/// which generate_jobs stores as the submission name for class-affinity
-/// cluster routing.
-std::vector<dag::TaskCount> sample_profile(const ScenarioSpec& spec,
-                                           util::Rng& rng, int processors,
-                                           dag::Steps quantum,
-                                           double work_scale,
-                                           std::size_t job_index,
-                                           std::string* class_label = nullptr);
+/// The phases of one generated job, as runs of equal-width levels for
+/// ProfileJob::from_runs (exposed for tests).  `work_scale` multiplies
+/// the job's size (level counts / work targets) the way open arrivals do;
+/// pass 1.0 for closed runs.  kExplicit ignores the rng and reads
+/// `job_index` modulo the literal list; other generators ignore
+/// `job_index`.  When `class_label` is non-null it receives the job's
+/// class name — the generator name, or "class<i>" for the sublinear class
+/// actually drawn — which generate_jobs stores as the submission name for
+/// class-affinity cluster routing.
+std::vector<dag::LevelRun> sample_profile(const ScenarioSpec& spec,
+                                          util::Rng& rng, int processors,
+                                          dag::Steps quantum,
+                                          double work_scale,
+                                          std::size_t job_index,
+                                          std::string* class_label = nullptr);
 
 }  // namespace abg::scenario

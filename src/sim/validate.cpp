@@ -2,23 +2,25 @@
 
 #include <cmath>
 #include <map>
-#include <sstream>
+#include <string>
 
 namespace abg::sim {
 
 namespace {
 
-void check(std::vector<std::string>& issues, bool ok,
-           const std::string& message) {
+// Checks take the message as a literal and build a string only when they
+// fail, so validating a correct trace allocates nothing per quantum.
+void check(std::vector<std::string>& issues, bool ok, const char* message) {
   if (!ok) {
-    issues.push_back(message);
+    issues.emplace_back(message);
   }
 }
 
-std::string at_quantum(std::size_t i, const std::string& what) {
-  std::ostringstream oss;
-  oss << "quantum " << (i + 1) << ": " << what;
-  return oss.str();
+void check_quantum(std::vector<std::string>& issues, bool ok, std::size_t i,
+                   const char* what) {
+  if (!ok) {
+    issues.push_back("quantum " + std::to_string(i + 1) + ": " + what);
+  }
 }
 
 }  // namespace
@@ -30,37 +32,37 @@ std::vector<std::string> validate_trace(const JobTrace& trace) {
   double total_cpl = 0.0;
   for (std::size_t i = 0; i < trace.quanta.size(); ++i) {
     const auto& q = trace.quanta[i];
-    check(issues, q.index == static_cast<std::int64_t>(i + 1),
-          at_quantum(i, "non-sequential index"));
-    check(issues, q.length >= 1, at_quantum(i, "non-positive length"));
-    check(issues, q.allotment >= 0 && q.allotment <= q.request,
-          at_quantum(i, "allotment outside [0, request]"));
-    check(issues, q.available >= q.allotment,
-          at_quantum(i, "availability below allotment"));
-    check(issues, q.work >= 0, at_quantum(i, "negative work"));
-    check(issues,
-          q.work <= static_cast<dag::TaskCount>(q.allotment) *
-                        static_cast<dag::TaskCount>(q.length),
-          at_quantum(i, "work exceeds allotment capacity"));
+    check_quantum(issues, q.index == static_cast<std::int64_t>(i + 1), i,
+                  "non-sequential index");
+    check_quantum(issues, q.length >= 1, i, "non-positive length");
+    check_quantum(issues, q.allotment >= 0 && q.allotment <= q.request, i,
+                  "allotment outside [0, request]");
+    check_quantum(issues, q.available >= q.allotment, i,
+                  "availability below allotment");
+    check_quantum(issues, q.work >= 0, i, "negative work");
+    check_quantum(issues,
+                  q.work <= static_cast<dag::TaskCount>(q.allotment) *
+                                static_cast<dag::TaskCount>(q.length),
+                  i, "work exceeds allotment capacity");
     // Note: per-quantum cpl is NOT bounded by the quantum length on
     // irregular DAGs — one step may complete tasks on several levels whose
     // sizes are small (e.g. independent branches of different depths), so
     // the fractional progress Σ 1/|level| can exceed 1 per step.  Only the
     // whole-job total is bounded (by T∞, checked below).
-    check(issues, q.cpl >= -1e-9,
-          at_quantum(i, "negative critical-path progress"));
-    check(issues, q.steps_used >= 0 && q.steps_used <= q.length,
-          at_quantum(i, "steps_used outside [0, length]"));
-    check(issues, q.waste() >= 0, at_quantum(i, "negative waste"));
-    check(issues, !q.full || q.steps_used == q.length,
-          at_quantum(i, "full quantum with unused steps"));
+    check_quantum(issues, q.cpl >= -1e-9, i,
+                  "negative critical-path progress");
+    check_quantum(issues, q.steps_used >= 0 && q.steps_used <= q.length, i,
+                  "steps_used outside [0, length]");
+    check_quantum(issues, q.waste() >= 0, i, "negative waste");
+    check_quantum(issues, !q.full || q.steps_used == q.length, i,
+                  "full quantum with unused steps");
     const bool is_last = i + 1 == trace.quanta.size();
-    check(issues, !q.finished || is_last,
-          at_quantum(i, "finished flag before the final quantum"));
+    check_quantum(issues, !q.finished || is_last, i,
+                  "finished flag before the final quantum");
     // Work implies positive cpl (completed tasks advance some level
     // fractionally).
-    check(issues, q.work == 0 || q.cpl > 0.0,
-          at_quantum(i, "work done without critical-path progress"));
+    check_quantum(issues, q.work == 0 || q.cpl > 0.0, i,
+                  "work done without critical-path progress");
     total_work += q.work;
     total_cpl += q.cpl;
   }
@@ -145,8 +147,10 @@ ValidationReport validate_result_report(const SimResult& result,
     int held = 0;
     for (const auto& [step, delta] : deltas) {
       held += delta;
-      check(issues, held <= processors,
-            "machine oversubscribed at step " + std::to_string(step));
+      if (held > processors) {
+        issues.push_back("machine oversubscribed at step " +
+                         std::to_string(step));
+      }
     }
   }
   return report;

@@ -6,6 +6,65 @@
 
 namespace abg::util {
 
+namespace {
+
+// std::mt19937_64's parameters (the standard's [rand.predef]).
+constexpr std::size_t kN = LazyMt19937_64::kStateSize;
+constexpr std::size_t kM = 156;
+constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+// One word of the twist: the top bit of `word`, the low 31 bits of the
+// word after it, and the word kM places on.
+constexpr std::uint64_t twist(std::uint64_t word, std::uint64_t after,
+                              std::uint64_t far) {
+  const std::uint64_t y = (word & kUpperMask) | (after & kLowerMask);
+  return far ^ (y >> 1) ^ ((y & 1U) != 0 ? kMatrixA : 0);
+}
+
+}  // namespace
+
+void LazyMt19937_64::advance() {
+  if (twisted_ < kN) {
+    // First pass: twist words [twisted_, end) in index order, the order
+    // the standard's in-place loop twists them, so each twist reads the
+    // already-twisted words below it.  Word k's twist reads words k + 1
+    // and k + kM (mod kN); seed those first.  The batch doubles, so n
+    // draws seed and twist O(n + kM) words in O(log n) calls.
+    const std::size_t end = std::min(2 * twisted_ + 1, kN);
+    const std::size_t need = std::min(end + kM, kN);
+    if (seeded_ < need) {
+      // Locals, not members: the state words alias std::size_t, and the
+      // recurrence should stay in a register.
+      std::uint64_t word = state_[seeded_ - 1];
+      for (std::size_t j = seeded_; j < need; ++j) {
+        word = kInitMultiplier * (word ^ (word >> 62)) + j;
+        state_[j] = word;
+      }
+      seeded_ = need;
+    }
+    for (std::size_t k = twisted_; k < end; ++k) {
+      const std::size_t after = k + 1 < kN ? k + 1 : 0;
+      const std::size_t far = k < kN - kM ? k + kM : k + kM - kN;
+      state_[k] = twist(state_[k], state_[after], state_[far]);
+    }
+    twisted_ = end;
+    return;
+  }
+  // Later passes: the standard's whole-state twist, in its loop order.
+  std::size_t k = 0;
+  for (; k < kN - kM; ++k) {
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kM]);
+  }
+  for (; k < kN - 1; ++k) {
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kM - kN]);
+  }
+  state_[kN - 1] = twist(state_[kN - 1], state_[0], state_[kM - 1]);
+  next_ = 0;
+}
+
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) {
     throw std::invalid_argument("Rng::uniform_int: lo > hi");

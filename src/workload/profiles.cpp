@@ -27,11 +27,14 @@ void check_levels(dag::Steps levels, const char* what) {
 
 }  // namespace
 
-std::vector<dag::TaskCount> constant_profile(dag::TaskCount width,
-                                             dag::Steps levels) {
+std::vector<dag::LevelRun> constant_profile(dag::TaskCount width,
+                                           dag::Steps levels) {
   check_width(width, "width");
   check_levels(levels, "levels");
-  return std::vector<dag::TaskCount>(static_cast<std::size_t>(levels), width);
+  if (levels == 0) {
+    return {};
+  }
+  return {dag::LevelRun{width, levels}};
 }
 
 std::unique_ptr<dag::Job> constant_parallelism_chains(dag::TaskCount width,
@@ -44,37 +47,40 @@ std::unique_ptr<dag::Job> constant_parallelism_chains(dag::TaskCount width,
       dag::builders::fork_join({{width, levels}}));
 }
 
-std::vector<dag::TaskCount> step_profile(dag::TaskCount low,
-                                         dag::Steps low_levels,
-                                         dag::TaskCount high,
-                                         dag::Steps high_levels) {
+std::vector<dag::LevelRun> step_profile(dag::TaskCount low,
+                                       dag::Steps low_levels,
+                                       dag::TaskCount high,
+                                       dag::Steps high_levels) {
   check_width(low, "low width");
   check_width(high, "high width");
   check_levels(low_levels, "low levels");
   check_levels(high_levels, "high levels");
-  std::vector<dag::TaskCount> widths;
-  widths.reserve(static_cast<std::size_t>(low_levels + high_levels));
-  widths.insert(widths.end(), static_cast<std::size_t>(low_levels), low);
-  widths.insert(widths.end(), static_cast<std::size_t>(high_levels), high);
-  return widths;
+  std::vector<dag::LevelRun> runs;
+  for (const dag::LevelRun run : {dag::LevelRun{low, low_levels},
+                                  dag::LevelRun{high, high_levels}}) {
+    if (run.levels > 0) {
+      runs.push_back(run);
+    }
+  }
+  return runs;
 }
 
-std::vector<dag::TaskCount> square_wave_profile(dag::TaskCount low,
-                                                dag::Steps low_levels,
-                                                dag::TaskCount high,
-                                                dag::Steps high_levels,
-                                                int periods) {
+std::vector<dag::LevelRun> square_wave_profile(dag::TaskCount low,
+                                              dag::Steps low_levels,
+                                              dag::TaskCount high,
+                                              dag::Steps high_levels,
+                                              int periods) {
   if (periods < 1) {
     throw std::invalid_argument("profiles: periods must be >= 1");
   }
-  std::vector<dag::TaskCount> widths;
-  const std::vector<dag::TaskCount> one =
+  const std::vector<dag::LevelRun> one =
       step_profile(low, low_levels, high, high_levels);
-  widths.reserve(one.size() * static_cast<std::size_t>(periods));
+  std::vector<dag::LevelRun> runs;
+  runs.reserve(one.size() * static_cast<std::size_t>(periods));
   for (int p = 0; p < periods; ++p) {
-    widths.insert(widths.end(), one.begin(), one.end());
+    runs.insert(runs.end(), one.begin(), one.end());
   }
-  return widths;
+  return runs;
 }
 
 std::vector<dag::TaskCount> random_walk_profile(util::Rng& rng,

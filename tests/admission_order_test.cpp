@@ -447,8 +447,8 @@ TEST(AdmissionOrder, MigratedJobAdmittedAtTransferEligibility) {
   std::vector<JobSubmission> subs;
   for (int i = 0; i < 12; ++i) {
     JobSubmission sub;
-    sub.job = std::make_unique<dag::ProfileJob>(
-        workload::square_wave_profile(4, 150, 4, 150, 1));
+    sub.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        workload::square_wave_profile(4, 150, 4, 150, 1)));
     sub.name = "hot";
     subs.push_back(std::move(sub));
   }

@@ -76,7 +76,8 @@ TEST(Arrivals, StaggeredJobsFinishInArrivalFriendlyOrder) {
   const auto releases = staggered_releases(3, 1000);
   for (std::size_t i = 0; i < 3; ++i) {
     sim::JobSubmission s;
-    s.job = std::make_unique<dag::ProfileJob>(constant_profile(4, 200));
+    s.job = std::make_unique<dag::ProfileJob>(
+        dag::ProfileJob::from_runs(constant_profile(4, 200)));
     s.release_step = releases[i];
     subs.push_back(std::move(s));
   }

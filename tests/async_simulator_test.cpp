@@ -15,10 +15,11 @@
 namespace abg::sim {
 namespace {
 
-JobSubmission submit(std::vector<dag::TaskCount> widths,
+JobSubmission submit(std::vector<dag::LevelRun> runs,
                      dag::Steps release = 0) {
   JobSubmission s;
-  s.job = std::make_unique<dag::ProfileJob>(std::move(widths));
+  s.job = std::make_unique<dag::ProfileJob>(
+      dag::ProfileJob::from_runs(std::move(runs)));
   s.release_step = release;
   return s;
 }
@@ -35,7 +36,7 @@ TEST(AsyncSimulator, Validation) {
   }
   {
     std::vector<JobSubmission> subs;
-    subs.push_back(submit({1}));
+    subs.push_back(submit({{1, 1}}));
     SimConfig config;
     config.processors = 0;
     EXPECT_THROW(
@@ -160,9 +161,11 @@ TEST(AsyncSimulator, ResultsValidate) {
   util::Rng rng(8);
   for (int j = 0; j < 4; ++j) {
     util::Rng job_rng = rng.split();
-    subs.push_back(submit(
-        workload::random_walk_profile(job_rng, 200, 12, 2.0),
-        rng.uniform_int(0, 60)));
+    JobSubmission s;
+    s.job = std::make_unique<dag::ProfileJob>(
+        workload::random_walk_profile(job_rng, 200, 12, 2.0));
+    s.release_step = rng.uniform_int(0, 60);
+    subs.push_back(std::move(s));
   }
   sched::BGreedyExecution exec;
   sched::AControlRequest proto;

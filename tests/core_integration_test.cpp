@@ -54,7 +54,7 @@ TEST(SchedulerSpec, CopyOfIncompleteSpecThrows) {
 }
 
 TEST(RunSingle, DefaultsToUnconstrainedAllocator) {
-  dag::ProfileJob job(workload::constant_profile(8, 200));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(8, 200));
   const sim::JobTrace trace = run_single(
       abg_spec(), job,
       sim::SingleJobConfig{.processors = 64, .quantum_length = 50});
@@ -66,8 +66,8 @@ TEST(RunSingle, DefaultsToUnconstrainedAllocator) {
 
 TEST(RunSingle, SpecStaysReusable) {
   const SchedulerSpec spec = abg_spec();
-  dag::ProfileJob job1(workload::constant_profile(4, 100));
-  dag::ProfileJob job2(workload::constant_profile(4, 100));
+  auto job1 = dag::ProfileJob::from_runs(workload::constant_profile(4, 100));
+  auto job2 = dag::ProfileJob::from_runs(workload::constant_profile(4, 100));
   const auto t1 = run_single(
       spec, job1, sim::SingleJobConfig{.processors = 16, .quantum_length = 20});
   const auto t2 = run_single(
@@ -88,7 +88,7 @@ TEST(RunSet, DefaultsToEquiPartition) {
   for (int j = 0; j < 3; ++j) {
     sim::JobSubmission s;
     s.job = std::make_unique<dag::ProfileJob>(
-        workload::constant_profile(16, 100));
+        dag::ProfileJob::from_runs(workload::constant_profile(16, 100)));
     subs.push_back(std::move(s));
   }
   const sim::SimResult result =
@@ -109,7 +109,7 @@ TEST(RunSet, ExplicitAllocatorIsUsed) {
   std::vector<sim::JobSubmission> subs;
   sim::JobSubmission s;
   s.job = std::make_unique<dag::ProfileJob>(
-      workload::constant_profile(4, 60));
+      dag::ProfileJob::from_runs(workload::constant_profile(4, 60)));
   subs.push_back(std::move(s));
   alloc::RoundRobin rr;
   const sim::SimResult result =
@@ -126,7 +126,7 @@ TEST(RunSet, StaticSpecBracketsAdaptive) {
     std::vector<sim::JobSubmission> subs;
     sim::JobSubmission s;
     s.job = std::make_unique<dag::ProfileJob>(
-        workload::constant_profile(10, 400));
+        dag::ProfileJob::from_runs(workload::constant_profile(10, 400)));
     subs.push_back(std::move(s));
     return subs;
   };

@@ -25,7 +25,7 @@ namespace {
 
 /// A profile with several parallelism transitions so the request policy's
 /// feedback loop actually moves (constant profiles converge immediately).
-std::vector<dag::TaskCount> test_profile() {
+std::vector<dag::LevelRun> test_profile() {
   return workload::square_wave_profile(2, 70, 11, 70, 4);
 }
 
@@ -59,7 +59,7 @@ void expect_engines_agree(const SingleJobConfig& single_config,
                           const SimConfig& set_config) {
   sched::BGreedyExecution exec;
 
-  dag::ProfileJob single_job(test_profile());
+  auto single_job = dag::ProfileJob::from_runs(test_profile());
   sched::AControlRequest single_request;
   alloc::EquiPartition single_deq;
   const JobTrace single = run_single_job(single_job, exec, single_request,
@@ -67,7 +67,10 @@ void expect_engines_agree(const SingleJobConfig& single_config,
 
   std::vector<JobSubmission> subs;
   subs.push_back(JobSubmission{
-      std::make_unique<dag::ProfileJob>(test_profile()), 0, {}});
+      std::make_unique<dag::ProfileJob>(
+          dag::ProfileJob::from_runs(test_profile())),
+      0,
+      {}});
   sched::AControlRequest proto;
   alloc::EquiPartition set_deq;
   const SimResult set =
@@ -112,7 +115,7 @@ TEST(EngineEquivalence, WithAdaptiveQuantumLength) {
   qconfig.max_length = 160;
 
   sched::BGreedyExecution exec;
-  dag::ProfileJob single_job(test_profile());
+  auto single_job = dag::ProfileJob::from_runs(test_profile());
   sched::AControlRequest single_request;
   sched::AdaptiveQuantumLength single_policy(qconfig);
   alloc::EquiPartition single_deq;
@@ -123,7 +126,10 @@ TEST(EngineEquivalence, WithAdaptiveQuantumLength) {
 
   std::vector<JobSubmission> subs;
   subs.push_back(JobSubmission{
-      std::make_unique<dag::ProfileJob>(test_profile()), 0, {}});
+      std::make_unique<dag::ProfileJob>(
+          dag::ProfileJob::from_runs(test_profile())),
+      0,
+      {}});
   sched::AControlRequest proto;
   sched::AdaptiveQuantumLength set_policy(qconfig);
   alloc::EquiPartition set_deq;

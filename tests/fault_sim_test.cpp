@@ -31,7 +31,7 @@ std::vector<JobSubmission> wide_jobs(int count, dag::TaskCount width,
   for (int j = 0; j < count; ++j) {
     JobSubmission s;
     s.job = std::make_unique<dag::ProfileJob>(
-        workload::constant_profile(width, levels));
+        dag::ProfileJob::from_runs(workload::constant_profile(width, levels)));
     subs.push_back(std::move(s));
   }
   return subs;
@@ -345,8 +345,8 @@ TEST(FaultSim, CrashesUnderAdaptiveQuantumLengthArePinned) {
     std::vector<JobSubmission> subs;
     for (const int periods : {2, 3, 9}) {
       JobSubmission s;
-      s.job = std::make_unique<dag::ProfileJob>(
-          workload::square_wave_profile(2, 40, 12, 40, periods));
+      s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+          workload::square_wave_profile(2, 40, 12, 40, periods)));
       subs.push_back(std::move(s));
     }
     sched::BGreedyExecution exec;

@@ -182,8 +182,9 @@ TEST(ShardedEngine, FairWithinEachGroup) {
       std::vector<JobSubmission> subs;
       for (int j = 0; j < 12; ++j) {
         JobSubmission s;
-        s.job = std::make_unique<dag::ProfileJob>(workload::square_wave_profile(
-            1, 30 + 10 * (j % 4), 4 + 4 * j, 60, 3));
+        s.job = std::make_unique<dag::ProfileJob>(
+            dag::ProfileJob::from_runs(workload::square_wave_profile(
+                1, 30 + 10 * (j % 4), 4 + 4 * j, 60, 3)));
         s.release_step = static_cast<dag::Steps>(j % 3) * 50;
         subs.push_back(std::move(s));
       }

@@ -87,8 +87,8 @@ std::vector<sim::JobSubmission> two_job_set() {
   std::vector<sim::JobSubmission> subs;
   for (int j = 0; j < 2; ++j) {
     sim::JobSubmission s;
-    s.job = std::make_unique<dag::ProfileJob>(
-        workload::square_wave_profile(2, 24, 8, 40, 3));
+    s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        workload::square_wave_profile(2, 24, 8, 40, 3)));
     subs.push_back(std::move(s));
   }
   return subs;

@@ -139,9 +139,9 @@ TEST(OpenEngine, ZeroWorkArrivalsDepartAsTheyAreAdmitted) {
   config.bus = &bus;
   int built = 0;
   const JobFactory factory = [&built](util::Rng&, const Arrival&) {
-    return std::make_unique<dag::ProfileJob>(
-        built++ % 2 == 0 ? std::vector<dag::TaskCount>{}
-                         : workload::constant_profile(4, 120));
+    return std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        built++ % 2 == 0 ? std::vector<dag::LevelRun>{}
+                         : workload::constant_profile(4, 120)));
   };
   const core::SchedulerSpec spec = core::abg_spec();
   alloc::EquiPartition allocator;

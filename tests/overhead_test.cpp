@@ -23,7 +23,8 @@ TEST(ReallocationPenalty, Formula) {
 
 TEST(Overhead, ZeroCostIdenticalToBaseline) {
   auto run = [](dag::Steps cost) {
-    dag::ProfileJob job(workload::square_wave_profile(1, 60, 8, 60, 3));
+    auto job = dag::ProfileJob::from_runs(
+        workload::square_wave_profile(1, 60, 8, 60, 3));
     return core::run_single(
         core::abg_spec(), job,
         SingleJobConfig{.processors = 32,
@@ -38,7 +39,8 @@ TEST(Overhead, ZeroCostIdenticalToBaseline) {
 
 TEST(Overhead, SlowsCompletionAndAddsWaste) {
   auto run = [](dag::Steps cost) {
-    dag::ProfileJob job(workload::square_wave_profile(1, 60, 8, 60, 3));
+    auto job = dag::ProfileJob::from_runs(
+        workload::square_wave_profile(1, 60, 8, 60, 3));
     return core::run_single(
         core::abg_spec(), job,
         SingleJobConfig{.processors = 32,
@@ -56,7 +58,7 @@ TEST(Overhead, SlowsCompletionAndAddsWaste) {
 TEST(Overhead, PenaltyAccountingExact) {
   // Constant-width job: ABG's allotments go 1 (placement penalty cost*1),
   // then jump to 4 (penalty cost*3), then stay (no penalty).
-  dag::ProfileJob job(workload::constant_profile(4, 400));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(4, 400));
   const JobTrace trace = core::run_single(
       core::abg_spec(), job,
       SingleJobConfig{.processors = 32,
@@ -86,7 +88,7 @@ TEST(Overhead, PenaltyAccountingExact) {
 
 TEST(Overhead, FullPenaltyQuantumMakesNoProgress) {
   // Cost so large the first quantum is pure migration.
-  dag::ProfileJob job(workload::constant_profile(2, 40));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(2, 40));
   const JobTrace trace = core::run_single(
       core::abg_spec(), job,
       SingleJobConfig{.processors = 8,
@@ -102,8 +104,8 @@ TEST(Overhead, TracesStillValidate) {
   std::vector<JobSubmission> subs;
   for (int j = 0; j < 3; ++j) {
     JobSubmission s;
-    s.job = std::make_unique<dag::ProfileJob>(
-        workload::square_wave_profile(1, 40, 6, 40, 2));
+    s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+        workload::square_wave_profile(1, 40, 6, 40, 2)));
     subs.push_back(std::move(s));
   }
   sched::BGreedyExecution exec;

@@ -3,13 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
+
+#include "dag/profile_job.hpp"
 
 namespace abg::workload {
 namespace {
 
 TEST(ConstantProfile, Shape) {
-  const auto w = constant_profile(7, 5);
-  EXPECT_EQ(w, (std::vector<dag::TaskCount>{7, 7, 7, 7, 7}));
+  EXPECT_EQ(constant_profile(7, 5), (std::vector<dag::LevelRun>{{7, 5}}));
+}
+
+TEST(ConstantProfile, LongJobIsOneRun) {
+  // Twenty million levels cost one run, not twenty million widths.
+  const auto job =
+      dag::ProfileJob::from_runs(constant_profile(8, 20'000'000));
+  EXPECT_EQ(job.runs(), (std::vector<dag::LevelRun>{{8, 20'000'000}}));
+  EXPECT_EQ(job.critical_path(), 20'000'000);
+  EXPECT_EQ(job.total_work(), 160'000'000);
 }
 
 TEST(ConstantProfile, ZeroLevelsIsEmpty) {
@@ -51,13 +62,36 @@ TEST(ConstantParallelismChains, Validation) {
 }
 
 TEST(StepProfile, Shape) {
-  const auto w = step_profile(1, 2, 9, 3);
-  EXPECT_EQ(w, (std::vector<dag::TaskCount>{1, 1, 9, 9, 9}));
+  EXPECT_EQ(step_profile(1, 2, 9, 3),
+            (std::vector<dag::LevelRun>{{1, 2}, {9, 3}}));
+}
+
+TEST(StepProfile, ZeroLevelPhasesAreLeftOut) {
+  EXPECT_EQ(step_profile(1, 0, 9, 3), (std::vector<dag::LevelRun>{{9, 3}}));
+  EXPECT_EQ(step_profile(1, 2, 9, 0), (std::vector<dag::LevelRun>{{1, 2}}));
+  EXPECT_TRUE(step_profile(1, 0, 9, 0).empty());
 }
 
 TEST(SquareWave, RepeatsPeriods) {
-  const auto w = square_wave_profile(1, 1, 5, 2, 3);
-  EXPECT_EQ(w, (std::vector<dag::TaskCount>{1, 5, 5, 1, 5, 5, 1, 5, 5}));
+  EXPECT_EQ(square_wave_profile(1, 1, 5, 2, 3),
+            (std::vector<dag::LevelRun>{
+                {1, 1}, {5, 2}, {1, 1}, {5, 2}, {1, 1}, {5, 2}}));
+}
+
+TEST(SquareWave, BuildsTheJobOfItsLevelWidths) {
+  // The runs describe the same job as the level-by-level widths, equal
+  // phases (low == high) included: from_runs merges them.
+  for (const dag::TaskCount high : {5, 1}) {
+    const std::vector<dag::LevelRun> runs =
+        square_wave_profile(1, 3, high, 4, 5);
+    std::vector<dag::TaskCount> widths;
+    for (const dag::LevelRun& run : runs) {
+      widths.insert(widths.end(), static_cast<std::size_t>(run.levels),
+                    run.width);
+    }
+    EXPECT_EQ(dag::ProfileJob::from_runs(runs).runs(),
+              dag::ProfileJob(widths).runs());
+  }
 }
 
 TEST(SquareWave, RejectsZeroPeriods) {

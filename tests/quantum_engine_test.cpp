@@ -18,7 +18,7 @@ SingleJobConfig small_config() {
 }
 
 TEST(QuantumEngine, RunsJobToCompletion) {
-  dag::ProfileJob job(workload::constant_profile(4, 100));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(4, 100));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
@@ -31,7 +31,7 @@ TEST(QuantumEngine, RunsJobToCompletion) {
 }
 
 TEST(QuantumEngine, FirstQuantumRequestsOne) {
-  dag::ProfileJob job(workload::constant_profile(4, 100));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(4, 100));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
@@ -44,7 +44,7 @@ TEST(QuantumEngine, FirstQuantumRequestsOne) {
 }
 
 TEST(QuantumEngine, QuantumIndicesAreSequential) {
-  dag::ProfileJob job(workload::constant_profile(4, 100));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(4, 100));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
@@ -57,7 +57,7 @@ TEST(QuantumEngine, QuantumIndicesAreSequential) {
 
 TEST(QuantumEngine, CompletionStepIsExact) {
   // 25 serial tasks with L = 10: finishes mid-third-quantum at step 25.
-  dag::ProfileJob job(workload::constant_profile(1, 25));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(1, 25));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
@@ -71,7 +71,8 @@ TEST(QuantumEngine, CompletionStepIsExact) {
 }
 
 TEST(QuantumEngine, WorkConservation) {
-  dag::ProfileJob job(workload::square_wave_profile(1, 20, 8, 20, 3));
+  auto job = dag::ProfileJob::from_runs(
+      workload::square_wave_profile(1, 20, 8, 20, 3));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
@@ -88,7 +89,8 @@ TEST(QuantumEngine, WorkConservation) {
 }
 
 TEST(QuantumEngine, AllotmentNeverExceedsRequest) {
-  dag::ProfileJob job(workload::square_wave_profile(1, 30, 12, 30, 2));
+  auto job = dag::ProfileJob::from_runs(
+      workload::square_wave_profile(1, 30, 12, 30, 2));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
@@ -101,7 +103,7 @@ TEST(QuantumEngine, AllotmentNeverExceedsRequest) {
 }
 
 TEST(QuantumEngine, AvailabilityRecordedFromProfile) {
-  dag::ProfileJob job(workload::constant_profile(4, 60));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(4, 60));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::AvailabilityProfile allocator({1, 2, 3, 4, 5, 6, 7, 8});
@@ -126,7 +128,7 @@ TEST(QuantumEngine, ZeroWorkJobFinishesImmediately) {
 }
 
 TEST(QuantumEngine, ThrowsWhenStarvedForever) {
-  dag::ProfileJob job(workload::constant_profile(2, 50));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(2, 50));
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::AvailabilityProfile allocator({0});  // never grants anything
@@ -157,10 +159,10 @@ TEST(QuantumEngine, RequestPolicyIsResetBeforeRun) {
   sched::BGreedyExecution exec;
   sched::AControlRequest request;
   alloc::Unconstrained allocator;
-  dag::ProfileJob job1(workload::constant_profile(8, 100));
+  auto job1 = dag::ProfileJob::from_runs(workload::constant_profile(8, 100));
   const JobTrace t1 =
       run_single_job(job1, exec, request, allocator, small_config());
-  dag::ProfileJob job2(workload::constant_profile(8, 100));
+  auto job2 = dag::ProfileJob::from_runs(workload::constant_profile(8, 100));
   const JobTrace t2 =
       run_single_job(job2, exec, request, allocator, small_config());
   EXPECT_EQ(t1.quanta.front().request, 1);
@@ -170,7 +172,8 @@ TEST(QuantumEngine, RequestPolicyIsResetBeforeRun) {
 
 TEST(QuantumEngine, AdaptiveRequestTracksParallelismSwitch) {
   // Parallelism steps from 2 to 12; the A-Control request follows it.
-  dag::ProfileJob job(workload::step_profile(2, 200, 12, 400));
+  auto job = dag::ProfileJob::from_runs(
+      workload::step_profile(2, 200, 12, 400));
   sched::BGreedyExecution exec;
   sched::AControlRequest request(sched::AControlConfig{0.0});  // one-step
   alloc::Unconstrained allocator;

@@ -54,7 +54,8 @@ TEST(QuantumEvalTest, StepsToFinishIsExact) {
 }
 
 TEST(QuantumEvalTest, StepsToFinishCapAndEdgeCases) {
-  dag::ProfileJob job(workload::constant_profile(10, 4));  // 40 work
+  auto job = dag::ProfileJob::from_runs(
+      workload::constant_profile(10, 4));  // 40 work
   // 10 steps at 1 proc per level: 40 total > cap 5 -> cap + 1.
   EXPECT_EQ(steps_to_finish(job.phase_view(), 1, 5), 6);
   // Zero allotment cannot finish.
@@ -69,7 +70,7 @@ TEST(QuantumEvalTest, StepsToFinishCapAndEdgeCases) {
 /// stamped fields follow the engines' shared convention.
 TEST(QuantumEvalTest, RunAllottedQuantumStampsPenaltyAndAvailability) {
   sched::BGreedyExecution exec;
-  dag::ProfileJob job(workload::constant_profile(8, 4));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(8, 4));
   const sched::QuantumStats voided = run_allotted_quantum(
       job, exec, /*index=*/1, /*desire=*/3, /*allotment=*/2, /*length=*/10,
       /*penalty=*/10, /*leftover=*/5, /*start_step=*/70);

@@ -90,14 +90,14 @@ TEST(AdaptiveQuantumLength, ResetRestoresFloor) {
 TEST(DynamicQuantumEngine, FixedOverloadMatchesBase) {
   // The two run_single_job overloads agree when the policy is fixed.
   const sim::SingleJobConfig config{.processors = 32, .quantum_length = 50};
-  dag::ProfileJob job1(workload::constant_profile(8, 400));
+  auto job1 = dag::ProfileJob::from_runs(workload::constant_profile(8, 400));
   BGreedyExecution exec;
   AControlRequest req1;
   alloc::Unconstrained alloc1;
   const sim::JobTrace base =
       sim::run_single_job(job1, exec, req1, alloc1, config);
 
-  dag::ProfileJob job2(workload::constant_profile(8, 400));
+  auto job2 = dag::ProfileJob::from_runs(workload::constant_profile(8, 400));
   AControlRequest req2;
   FixedQuantumLength fixed(50);
   alloc::Unconstrained alloc2;
@@ -114,7 +114,7 @@ TEST(DynamicQuantumEngine, FixedOverloadMatchesBase) {
 
 TEST(DynamicQuantumEngine, AdaptiveLengthensOnStableJob) {
   // A long constant-parallelism job: quanta should grow to the cap.
-  dag::ProfileJob job(workload::constant_profile(8, 20000));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(8, 20000));
   BGreedyExecution exec;
   AControlRequest request;
   AdaptiveQuantumLength adaptive(AdaptiveQuantumConfig{100, 1600, 0.2, 2});
@@ -133,7 +133,7 @@ TEST(DynamicQuantumEngine, AdaptiveLengthensOnStableJob) {
 }
 
 TEST(DynamicQuantumEngine, CompletionStepStillExact) {
-  dag::ProfileJob job(workload::constant_profile(1, 777));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(1, 777));
   BGreedyExecution exec;
   AControlRequest request;
   AdaptiveQuantumLength adaptive(AdaptiveQuantumConfig{50, 400, 0.2, 1});

@@ -54,7 +54,7 @@ class ReportOnSimulation : public ::testing::Test {
     for (int j = 0; j < 3; ++j) {
       JobSubmission s;
       s.job = std::make_unique<dag::ProfileJob>(
-          workload::constant_profile(8, 200));
+          dag::ProfileJob::from_runs(workload::constant_profile(8, 200)));
       subs.push_back(std::move(s));
     }
     return core::run_set(core::abg_spec(), std::move(subs),

@@ -22,7 +22,7 @@ sim::SimResult run(const sim::SimConfig& config, int jobs = 3,
   for (int j = 0; j < jobs; ++j) {
     sim::JobSubmission s;
     s.job = std::make_unique<dag::ProfileJob>(
-        workload::constant_profile(8, levels));
+        dag::ProfileJob::from_runs(workload::constant_profile(8, levels)));
     subs.push_back(std::move(s));
   }
   sched::BGreedyExecution exec;

@@ -17,7 +17,7 @@ TEST(Scalability, Validation) {
 }
 
 TEST(Scalability, SerialTimeEqualsWork) {
-  dag::ProfileJob job(workload::constant_profile(4, 50));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(4, 50));
   const auto curve = scalability_curve(job, {1});
   ASSERT_EQ(curve.size(), 1u);
   EXPECT_EQ(curve[0].time, job.total_work());
@@ -27,7 +27,7 @@ TEST(Scalability, SerialTimeEqualsWork) {
 
 TEST(Scalability, PerfectScalingUpToWidth) {
   // Constant width 8: linear speedup at p = 1, 2, 4, 8; flat beyond.
-  dag::ProfileJob job(workload::constant_profile(8, 64));
+  auto job = dag::ProfileJob::from_runs(workload::constant_profile(8, 64));
   const auto curve = scalability_curve(job, {1, 2, 4, 8, 16});
   EXPECT_EQ(curve[0].time, 512);
   EXPECT_EQ(curve[1].time, 256);

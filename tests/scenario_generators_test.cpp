@@ -23,8 +23,11 @@ ScenarioSpec parse(const std::string& text) {
   return ScenarioSpec::from_json(util::Json::parse(text));
 }
 
-std::int64_t profile_work(const std::vector<dag::TaskCount>& widths) {
-  return std::accumulate(widths.begin(), widths.end(), std::int64_t{0});
+std::int64_t profile_work(const std::vector<dag::LevelRun>& runs) {
+  return std::accumulate(runs.begin(), runs.end(), std::int64_t{0},
+                         [](std::int64_t sum, const dag::LevelRun& run) {
+                           return sum + run.width * run.levels;
+                         });
 }
 
 const char* kExplicitDoc = R"({
@@ -87,12 +90,10 @@ TEST(ScenarioGenerators, OscillatorResolvesMachineRelativeDefaults) {
     "params": {"low": 1, "high": 0, "half_period": 0, "periods": 2}
   })");
   util::Rng rng(5);
-  const auto widths = sample_profile(spec, rng, 32, 500, 1.0, 0);
   // high = 0 -> P, half_period = 0 -> L: two periods of (L low, L high).
-  ASSERT_EQ(widths.size(), 4u * 500u);
-  EXPECT_EQ(widths.front(), 1);
-  EXPECT_EQ(widths[500], 32);
-  EXPECT_EQ(*std::max_element(widths.begin(), widths.end()), 32);
+  EXPECT_EQ(sample_profile(spec, rng, 32, 500, 1.0, 0),
+            (std::vector<dag::LevelRun>{{1, 500}, {32, 500}, {1, 500},
+                                        {32, 500}}));
 }
 
 TEST(ScenarioGenerators, SublinearMaxWidthZeroCapsAtMachineSize) {
@@ -101,11 +102,17 @@ TEST(ScenarioGenerators, SublinearMaxWidthZeroCapsAtMachineSize) {
     "params": {"classes": [{"alpha": 0.5, "work": 5000, "max_width": 0}]}
   })");
   util::Rng rng(11);
-  const auto widths = sample_profile(spec, rng, 16, 1000, 1.0, 0);
-  ASSERT_FALSE(widths.empty());
-  EXPECT_EQ(*std::max_element(widths.begin(), widths.end()), 16);
+  const auto runs = sample_profile(spec, rng, 16, 1000, 1.0, 0);
+  ASSERT_FALSE(runs.empty());
+  EXPECT_EQ(std::max_element(runs.begin(), runs.end(),
+                             [](const dag::LevelRun& a,
+                                const dag::LevelRun& b) {
+                               return a.width < b.width;
+                             })
+                ->width,
+            16);
   // The staircase preserves the work budget to within rounding.
-  EXPECT_GE(profile_work(widths), 5000 / 2);
+  EXPECT_GE(profile_work(runs), 5000 / 2);
 }
 
 TEST(ScenarioGenerators, ReleaseSchedulesShapeReleaseSteps) {

@@ -95,7 +95,7 @@ TEST(JainFairness, DeqKeepsSlowdownsBalanced) {
   for (int j = 0; j < 4; ++j) {
     sim::JobSubmission s;
     s.job = std::make_unique<dag::ProfileJob>(
-        workload::constant_profile(8, 200));
+        dag::ProfileJob::from_runs(workload::constant_profile(8, 200)));
     subs.push_back(std::move(s));
   }
   const sim::SimResult result = core::run_set(

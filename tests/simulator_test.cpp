@@ -18,10 +18,11 @@
 namespace abg::sim {
 namespace {
 
-JobSubmission submit(std::vector<dag::TaskCount> widths,
+JobSubmission submit(std::vector<dag::LevelRun> runs,
                      dag::Steps release = 0, std::string name = {}) {
   JobSubmission s;
-  s.job = std::make_unique<dag::ProfileJob>(std::move(widths));
+  s.job = std::make_unique<dag::ProfileJob>(
+      dag::ProfileJob::from_runs(std::move(runs)));
   s.release_step = release;
   s.name = std::move(name);
   return s;
@@ -212,14 +213,14 @@ TEST(Simulator, RejectsBadInputs) {
   }
   {
     std::vector<JobSubmission> subs;
-    subs.push_back(submit({1}, -5));
+    subs.push_back(submit({{1, 1}}, -5));
     EXPECT_THROW(
         simulate_job_set(std::move(subs), exec, proto, deq, small_config()),
         std::invalid_argument);
   }
   {
     std::vector<JobSubmission> subs;
-    subs.push_back(submit({1}));
+    subs.push_back(submit({{1, 1}}));
     EXPECT_THROW(simulate_job_set(std::move(subs), exec, proto, deq,
                                   SimConfig{.processors = 0}),
                  std::invalid_argument);

@@ -346,7 +346,7 @@ TEST(SkipAheadDifferentialTest, FaultedRunsAdvanceInStrides) {
     subs.push_back(JobSubmission{
         std::make_unique<CountingJob>(
             std::make_unique<dag::ProfileJob>(
-                workload::constant_profile(6, 400)),
+                dag::ProfileJob::from_runs(workload::constant_profile(6, 400))),
             &calls),
         static_cast<dag::Steps>(50 * j),
         {}});

@@ -42,7 +42,7 @@ TEST_P(Theorem1, EmpiricalRequestSeries) {
   // measured A(q) is the width in every full quantum.
   const dag::Steps quantum_length = 100;
   const dag::Steps levels = 40 * quantum_length;
-  dag::ProfileJob job(
+  auto job = dag::ProfileJob::from_runs(
       workload::constant_profile(parallelism, levels));
 
   const core::SchedulerSpec abg =

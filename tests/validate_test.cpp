@@ -97,6 +97,59 @@ TEST(ValidateTrace, DetectsWorkWithoutProgress) {
   EXPECT_FALSE(validate_trace(t).empty());
 }
 
+TEST(ValidateTrace, EveryMessageNamesItsQuantumAndCheck) {
+  // Quantum 1 breaks every per-quantum check but two that contradict
+  // negative work; quantum 2 breaks those two.  The messages are built
+  // only on failure, so their exact text is pinned here.
+  JobTrace t;
+  t.work = 10;
+  t.critical_path = 4;
+  t.release_step = 5;
+  t.completion_step = 3;
+  sched::QuantumStats bad;
+  bad.index = 5;
+  bad.length = 0;
+  bad.request = 2;
+  bad.allotment = 5;
+  bad.available = 4;
+  bad.work = -1;
+  bad.cpl = -1.0;
+  bad.steps_used = 3;
+  bad.full = true;
+  bad.finished = true;
+  sched::QuantumStats overworked;
+  overworked.index = 2;
+  overworked.length = 1;
+  overworked.request = 1;
+  overworked.allotment = 1;
+  overworked.available = 1;
+  overworked.work = 50;
+  overworked.cpl = 1.0;
+  overworked.steps_used = 1;
+  overworked.full = true;
+  t.quanta = {bad, overworked};
+  const std::vector<std::string> expected = {
+      "quantum 1: non-sequential index",
+      "quantum 1: non-positive length",
+      "quantum 1: allotment outside [0, request]",
+      "quantum 1: availability below allotment",
+      "quantum 1: negative work",
+      "quantum 1: negative critical-path progress",
+      "quantum 1: steps_used outside [0, length]",
+      "quantum 1: full quantum with unused steps",
+      "quantum 1: finished flag before the final quantum",
+      "quantum 1: work done without critical-path progress",
+      "quantum 2: work exceeds allotment capacity",
+      "quantum 2: negative waste",
+      "total quantum work exceeds the job's T1",
+      "finished job's quantum work does not sum to T1",
+      "finished job's quantum cpl does not sum to T_inf",
+      "finished trace whose last quantum is not marked finished",
+      "completion before release",
+  };
+  EXPECT_EQ(validate_trace(t), expected);
+}
+
 TEST(ValidateTrace, EmptyTraceIsValid) {
   EXPECT_TRUE(validate_trace(JobTrace{}).empty());
 }
@@ -108,8 +161,8 @@ TEST(ValidateResult, AcceptsRealSimulations) {
     std::vector<JobSubmission> subs;
     for (int j = 0; j < 4; ++j) {
       JobSubmission s;
-      s.job = std::make_unique<dag::ProfileJob>(
-          workload::square_wave_profile(1, 30, 5 + j, 30, 2));
+      s.job = std::make_unique<dag::ProfileJob>(dag::ProfileJob::from_runs(
+          workload::square_wave_profile(1, 30, 5 + j, 30, 2)));
       s.release_step = 15 * j;
       subs.push_back(std::move(s));
     }
@@ -146,7 +199,10 @@ TEST(ValidateResult, DetectsOversubscription) {
   result.mean_response_time = 25.0;
   result.total_waste = a.total_waste() + b.total_waste();
   // Machine with 3 processors: 2 + 2 allotted in the same quantum slots.
-  EXPECT_FALSE(validate_result(result, 3).empty());
+  EXPECT_EQ(validate_result(result, 3),
+            (std::vector<std::string>{"machine oversubscribed at step 0",
+                                      "machine oversubscribed at step 10",
+                                      "machine oversubscribed at step 20"}));
 }
 
 TEST(ValidateResult, RejectsBadProcessorCount) {

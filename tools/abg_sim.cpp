@@ -172,8 +172,8 @@ std::vector<abg::sim::JobSubmission> make_workload(
   if (kind == "constant") {
     abg::sim::JobSubmission s;
     s.job = std::make_unique<abg::dag::ProfileJob>(
-        abg::workload::constant_profile(cli.get_int("width", 10),
-                                        cli.get_int("levels", 20000)));
+        abg::dag::ProfileJob::from_runs(abg::workload::constant_profile(
+            cli.get_int("width", 10), cli.get_int("levels", 20000))));
     subs.push_back(std::move(s));
     return subs;
   }
